@@ -574,10 +574,14 @@ type engine struct {
 	shSlotFree []*shSlot
 
 	openLoop   bool
+	warmup     float64
 	warmupDone bool
 	completed  int
 	traceN     int
 	traces     []RequestTrace
+	tickFn     func()           // sampleTick, bound once per engine
+	coreRows   []coreRow        // per-tick replica integrals (where the replicas live)
+	domRows    []domRow         // per-tick completion windows (where the clients live)
 	windowResp stats.Welford    // responses completed in current sample window
 	respRes    *stats.Reservoir // per-request response times, post-warmup
 	qScratch   []float64        // reused quantile output buffer (see Reservoir.Quantiles)
@@ -654,23 +658,17 @@ func (r *Runner) Run(opts RunOptions) (*Metrics, error) {
 	if opts.Shards >= 2 {
 		return r.runSharded(opts)
 	}
-	return r.prepare(opts).run(opts)
-}
-
-// prepare builds the engine on first use and resets it on every subsequent
-// run. The reset is exhaustive: clock, arena, RNG streams, reservoir,
-// resources, request nodes, links, and aggregation state all return to the
-// fresh-construction state, so a reused engine's run is bit-identical to a
-// fresh one. Construction performs no RNG draws, so build/reuse ordering
-// cannot perturb determinism.
-func (r *Runner) prepare(opts RunOptions) *engine {
 	r.e = prepareEngine(r.e, opts)
-	return r.e
+	return r.e.run(opts)
 }
 
-// prepareEngine is prepare's engine-level body, shared with the sharded
-// runner (which prepares one engine per shard from role-specific options;
-// see sharded.go). A nil e builds a fresh engine.
+// prepareEngine builds an engine on first use (nil e) and resets it on
+// every subsequent run; the sharded runner prepares one engine per shard
+// from role-specific options. The reset is exhaustive: clock, arena, RNG
+// streams, reservoir, resources, request nodes, links, and aggregation
+// state all return to the fresh-construction state, so a reused engine's
+// run is bit-identical to a fresh one. Construction performs no RNG draws,
+// so build/reuse ordering cannot perturb determinism.
 func prepareEngine(e *engine, opts RunOptions) *engine {
 	if e == nil {
 		e = &engine{
@@ -693,7 +691,12 @@ func prepareEngine(e *engine, opts RunOptions) *engine {
 		e.traces = nil // the previous run's Metrics owns its slice
 		e.windowResp = stats.Welford{}
 		e.taskAgg = [9]stats.Welford{}
+		e.coreRows, e.domRows = e.coreRows[:0], e.domRows[:0]
 	}
+	if e.tickFn == nil {
+		e.tickFn = e.sampleTick
+	}
+	e.warmup = opts.Warmup
 	e.cal, e.hw = opts.Cal, opts.Hardware
 	e.traceN = opts.TraceRequests
 	e.extractHold = opts.Cal.ExtractThreadCPU * float64(opts.Pools.Extract)
@@ -770,238 +773,294 @@ func prepareEngine(e *engine, opts RunOptions) *engine {
 	return e
 }
 
-// run executes the experiment on a prepared engine.
+// run executes the experiment on a prepared engine. It is the sequential
+// family of the shared run driver: one engine is both the core and the
+// only domain.
 func (e *engine) run(opts RunOptions) (*Metrics, error) {
-	se := e.sim
-	cal, hw := e.cal, e.hw
-
-	// Fault schedule and resilience policy first: compiled and placed on
-	// the calendar before anything else, so at any shared instant —
-	// including exactly t=0, where a windowed phase carries crashed/churned
-	// state in — fault events hold the lowest sequence numbers and fire
-	// before the first arrival or sampler tick. No pending same-instant
-	// pipeline event can slip in between, which is what makes crash/churn
-	// handlers sound.
 	if e.faultsOn {
-		if err := e.setupFaults(opts); err != nil {
+		var err error
+		if e.faultEvents, err = loadFaults(e.faultEvents, opts); err != nil {
 			return nil, err
 		}
+	}
+	if err := e.start(opts, e.faultEvents, openRate(opts), opts.Clients); err != nil {
+		return nil, err
+	}
+	e.sim.Run(opts.Duration)
+	doms := [1]*engine{e}
+	return finalize(opts, e, doms[:], false), nil
+}
+
+// start places one engine's share of a run on its calendar: fault events
+// first, so at any shared instant (even t=0, where a windowed phase carries
+// crashed/churned state in) they fire before any arrival or sampler tick
+// and no same-instant pipeline event slips in between — what makes the
+// crash/churn handlers sound. Then the policy, arrivals and sampler ticks.
+func (e *engine) start(opts RunOptions, faults []fault.Event, rate float64, clients int) error {
+	if e.faultsOn {
+		e.installFaults(faults, opts.Seed)
 	}
 	if e.resOn {
 		if err := e.setupResilience(opts); err != nil {
-			return nil, err
+			return err
 		}
 	}
+	e.startArrivals(opts, rate, clients)
+	// One shared tick closure for every sampling instant: At stores the
+	// exact tick time and Now() returns it bit-for-bit inside the event.
+	for t := opts.SampleInterval; t <= opts.Duration+1e-9; t += opts.SampleInterval {
+		e.sim.At(t, e.tickFn)
+	}
+	return nil
+}
 
+// openRate is the run's open-loop rate: the thinning envelope of an
+// Arrivals profile, else OpenLoopRate (0 for closed-loop runs).
+func openRate(opts RunOptions) float64 {
+	if opts.Arrivals != nil {
+		return opts.Arrivals.Max()
+	}
+	return opts.OpenLoopRate
+}
+
+// startArrivals starts the engine's share of the workload. Open-loop
+// candidates arrive as a Poisson process at rate, the caller's already
+// scaled share of openRate (a sequential run passes it unscaled: lmax*G/G
+// need not round back to lmax); an Arrivals profile thins them against the
+// global envelope (Lewis-Shedler, the accept draw before the gap draw).
+// Closed-loop clients each keep one request in flight, staggered over the
+// first seconds to avoid lockstep.
+func (e *engine) startArrivals(opts RunOptions, rate float64, clients int) {
+	se := e.sim
+	var arrive func()
 	switch {
 	case opts.Arrivals != nil:
-		// Open-loop, time-varying rate: nonhomogeneous Poisson arrivals by
-		// Lewis-Shedler thinning — candidates at the envelope rate λmax,
-		// accepted with probability λ(now)/λmax. Per candidate, the accept
-		// draw precedes the gap draw, fixing the RNG consumption order.
-		e.openLoop = true
-		rates := opts.Arrivals
-		lmax := rates.Max()
-		var arrive func()
+		rates, lmax := opts.Arrivals, opts.Arrivals.Max()
 		arrive = func() {
 			if e.rng.Float64()*lmax < rates.At(se.Now()) {
 				e.submit()
 			}
-			se.Schedule(e.rng.ExpFloat64()/lmax, arrive)
+			se.Schedule(e.rng.ExpFloat64()/rate, arrive)
 		}
-		se.Schedule(e.rng.ExpFloat64()/lmax, arrive)
 	case opts.OpenLoopRate > 0:
-		// Open-loop: Poisson arrivals, independent of completions.
-		e.openLoop = true
-		rate := opts.OpenLoopRate
-		var arrive func()
 		arrive = func() {
 			e.submit()
 			se.Schedule(e.rng.ExpFloat64()/rate, arrive)
 		}
-		se.Schedule(e.rng.ExpFloat64()/rate, arrive)
 	default:
-		// Closed-loop clients: each keeps exactly one request in flight,
-		// starting staggered over the first seconds to avoid lockstep.
-		for i := 0; i < opts.Clients; i++ {
+		for i := 0; i < clients; i++ {
 			se.Schedule(e.rng.Float64()*2, e.submit)
 		}
+		return
 	}
+	e.openLoop = true
+	se.Schedule(e.rng.ExpFloat64()/rate, arrive)
+}
 
-	// Metric sampler.
+// coreRow is one tick's cumulative replica integrals, recorded where the
+// replicas live; domRow one tick's completion window, recorded where the
+// clients live. finalize turns them into Samples.
+type coreRow struct {
+	t                          float64
+	cpuW, gpuW, hB, dB, xB, sB float64
+}
+
+type domRow struct {
+	resp      stats.Welford
+	completed int
+	good      int64
+}
+
+// sampleTick records the engine's sampler rows for its role (a sequential
+// engine records both) and flips the warmup latch.
+func (e *engine) sampleTick() {
+	now := e.sim.Now()
+	if e.shRole != shDomain {
+		row := coreRow{t: now}
+		for _, rep := range e.reps {
+			row.cpuW += rep.cpu.WorkIntegral()
+			row.gpuW += rep.gpu.WorkIntegral()
+			row.hB += rep.http.BusyIntegral()
+			row.dB += rep.dl.BusyIntegral()
+			row.xB += rep.ex.BusyIntegral()
+			row.sB += rep.ss.BusyIntegral()
+		}
+		e.coreRows = append(e.coreRows, row)
+	}
+	if e.shRole != shCore {
+		e.domRows = append(e.domRows, domRow{resp: e.windowResp, completed: e.completed, good: e.goodDone})
+		e.windowResp = stats.Welford{}
+		e.refreshHedgeDelay()
+	}
+	if now > e.warmup {
+		e.warmupDone = true
+	}
+}
+
+// refreshHedgeDelay re-derives an adaptive hedge's launch threshold from
+// the live post-warmup response distribution once enough samples
+// accumulated (cold path, once per sample interval).
+func (e *engine) refreshHedgeDelay() {
+	if e.resOn && e.resHedgeQ > 0 && e.respRes.N() >= resilience.HedgeMinSamples {
+		e.qScratch = e.respRes.Quantiles(e.qScratch[:0], e.resHedgeQ)
+		e.resHedgeDelay = e.qScratch[0]
+	}
+}
+
+// finalize turns the recorded sampler rows, counters, reservoirs and traces
+// into Metrics. core recorded the replica integrals and domains the
+// completion windows; a sequential run passes its one engine as both.
+// Windows merge in domain order, and Welford.Merge into an empty
+// accumulator is a plain copy, so a lone domain keeps its bits. It walks
+// the rows actually recorded: a tick scheduled in the 1e-9 slack past
+// Duration never fires. sharded selects the sharded family: the core is
+// an engine of its own, and percentiles and traces merge across domains.
+func finalize(opts RunOptions, core *engine, domains []*engine, sharded bool) *Metrics {
 	m := &Metrics{Config: opts.Pools, Clients: opts.Clients, Replicas: opts.Replicas,
 		Duration: opts.Duration, TaskTimes: make(map[string]stats.Summary)}
+	cal, hw, pools := opts.Cal, opts.Hardware, opts.Pools
 	nRep := float64(opts.Replicas)
+	m.GPUMemGB = cal.GPUMemGB(pools)
+	m.SysMemGB = cal.SysMemGB(pools)
 	var (
-		lastCPUWork, lastGPUWork          float64
-		lastHTTPB, lastDLB                float64
-		lastExB, lastSSB                  float64
-		lastT                             float64
+		last                              coreRow
 		respW, cpuW, gpuW, hB, dB, xB, sB stats.Welford
 		gpuPW, cpuPW                      stats.Welford
-		energyJ                           float64
-		measStartT                        float64
+		energyJ, measStartT               float64
 		measStartCompleted                int
 		measStartGood                     int64
+		warm                              bool
 	)
-	gpuMem := cal.GPUMemGB(opts.Pools)
-	sysMem := cal.SysMemGB(opts.Pools)
-
-	sumCPUWork := func() float64 {
-		var s float64
-		for _, r := range e.reps {
-			s += r.cpu.WorkIntegral()
-		}
-		return s
-	}
-	sumGPUWork := func() float64 {
-		var s float64
-		for _, r := range e.reps {
-			s += r.gpu.WorkIntegral()
-		}
-		return s
-	}
-	sumBusy := func(pick func(*replica) *sim.Pool) float64 {
-		var s float64
-		for _, r := range e.reps {
-			s += pick(r).BusyIntegral()
-		}
-		return s
-	}
-
-	sampleAt := func(t float64) {
-		dt := t - lastT
-		if dt <= 0 {
-			return
-		}
-		s := Sample{Time: t, GPUMemGB: gpuMem, SysMemGB: sysMem}
-		cw := sumCPUWork()
-		s.CPUUtil = (cw - lastCPUWork) / (hw.CPUCores * nRep * dt)
-		lastCPUWork = cw
-		gw := sumGPUWork()
-		s.GPUUtil = (gw - lastGPUWork) / (cal.GPURate * nRep * dt)
-		lastGPUWork = gw
+	for i, row := range core.coreRows {
+		dt := row.t - last.t
+		s := Sample{Time: row.t, GPUMemGB: m.GPUMemGB, SysMemGB: m.SysMemGB}
+		s.CPUUtil = (row.cpuW - last.cpuW) / (hw.CPUCores * nRep * dt)
+		s.GPUUtil = (row.gpuW - last.gpuW) / (cal.GPURate * nRep * dt)
 		// Power sums over replicas (nodes); utilizations are averages.
 		s.GPUPowerW = (cal.GPUIdlePowerW + cal.GPUPowerSlopeW*s.GPUUtil) * nRep
 		s.CPUPowerW = (cal.CPUIdlePowerW + cal.CPUPowerSlopeW*s.CPUUtil) * nRep
-		hb := sumBusy(func(r *replica) *sim.Pool { return r.http })
-		db := sumBusy(func(r *replica) *sim.Pool { return r.dl })
-		xb := sumBusy(func(r *replica) *sim.Pool { return r.ex })
-		sb := sumBusy(func(r *replica) *sim.Pool { return r.ss })
-		s.HTTPBusy = (hb - lastHTTPB) / (float64(opts.Pools.HTTP) * nRep * dt)
-		s.DownloadBusy = (db - lastDLB) / (float64(opts.Pools.Download) * nRep * dt)
-		s.ExtractBusy = (xb - lastExB) / (float64(opts.Pools.Extract) * nRep * dt)
-		s.SimsearchBusy = (sb - lastSSB) / (float64(opts.Pools.Simsearch) * nRep * dt)
-		lastHTTPB, lastDLB, lastExB, lastSSB = hb, db, xb, sb
-		if e.windowResp.N() > 0 {
-			s.RespTime = e.windowResp.Mean()
-			s.Throughput = float64(e.windowResp.N()) / dt
-		} else {
-			s.RespTime = math.NaN()
+		s.HTTPBusy = (row.hB - last.hB) / (float64(pools.HTTP) * nRep * dt)
+		s.DownloadBusy = (row.dB - last.dB) / (float64(pools.Download) * nRep * dt)
+		s.ExtractBusy = (row.xB - last.xB) / (float64(pools.Extract) * nRep * dt)
+		s.SimsearchBusy = (row.sB - last.sB) / (float64(pools.Simsearch) * nRep * dt)
+		last = row
+		var w stats.Welford
+		completed, good := 0, int64(0)
+		for _, de := range domains {
+			dr := &de.domRows[i]
+			w.Merge(dr.resp)
+			completed += dr.completed
+			good += dr.good
 		}
-		e.windowResp = stats.Welford{}
-		lastT = t
-
-		// Adaptive hedge delay: re-derive the launch threshold from the
-		// live post-warmup response distribution once enough samples
-		// accumulated (cold path, once per sample interval).
-		if e.resOn && e.resHedgeQ > 0 && e.respRes.N() >= resilience.HedgeMinSamples {
-			e.qScratch = e.respRes.Quantiles(e.qScratch[:0], e.resHedgeQ)
-			e.resHedgeDelay = e.qScratch[0]
+		s.RespTime = math.NaN()
+		if w.N() > 0 {
+			s.RespTime = w.Mean()
+			s.Throughput = float64(w.N()) / dt
 		}
-		if t > opts.Warmup {
-			if !e.warmupDone {
-				e.warmupDone = true
-				measStartT = t
-				measStartCompleted = e.completed
-				measStartGood = e.goodDone
-			} else {
-				// Aggregate post-warmup samples.
-				if !math.IsNaN(s.RespTime) {
-					respW.Add(s.RespTime)
-				}
-				cpuW.Add(s.CPUUtil)
-				gpuW.Add(s.GPUUtil)
-				gpuPW.Add(s.GPUPowerW)
-				cpuPW.Add(s.CPUPowerW)
-				energyJ += (s.GPUPowerW + s.CPUPowerW) * dt
-				hB.Add(s.HTTPBusy)
-				dB.Add(s.DownloadBusy)
-				xB.Add(s.ExtractBusy)
-				sB.Add(s.SimsearchBusy)
-				m.Samples = append(m.Samples, s)
-			}
+		if row.t <= opts.Warmup {
+			continue
 		}
+		if !warm {
+			// The first post-warmup tick opens the measured period.
+			warm = true
+			measStartT, measStartCompleted, measStartGood = row.t, completed, good
+			continue
+		}
+		if !math.IsNaN(s.RespTime) {
+			respW.Add(s.RespTime)
+		}
+		cpuW.Add(s.CPUUtil)
+		gpuW.Add(s.GPUUtil)
+		gpuPW.Add(s.GPUPowerW)
+		cpuPW.Add(s.CPUPowerW)
+		energyJ += (s.GPUPowerW + s.CPUPowerW) * dt
+		hB.Add(s.HTTPBusy)
+		dB.Add(s.DownloadBusy)
+		xB.Add(s.ExtractBusy)
+		sB.Add(s.SimsearchBusy)
+		m.Samples = append(m.Samples, s)
 	}
-	// One shared tick closure for every sampling instant: At stores the
-	// exact tick time and Now() returns it bit-for-bit inside the event,
-	// so hoisting the per-tick closures out of the loop changes no output
-	// (it removes ~2 allocations per simulated sample interval).
-	tick := func() { sampleAt(se.Now()) }
-	for t := opts.SampleInterval; t <= opts.Duration+1e-9; t += opts.SampleInterval {
-		se.At(t, tick)
-	}
-
-	se.Run(opts.Duration)
-
-	m.Completed = e.completed
 	m.UserResponseTime = respW.Snapshot()
-	if e.respRes.N() > 0 {
-		e.qScratch = e.respRes.Quantiles(e.qScratch[:0], 0.50, 0.95, 0.99)
-		m.RespP50, m.RespP95, m.RespP99 = e.qScratch[0], e.qScratch[1], e.qScratch[2]
-	}
 	m.CPUUtil = cpuW.Snapshot()
 	m.GPUUtil = gpuW.Snapshot()
 	m.GPUPowerW = gpuPW.Snapshot()
 	m.CPUPowerW = cpuPW.Snapshot()
-	if measured := e.completed - measStartCompleted; measured > 0 {
-		m.EnergyPerRequestJ = energyJ / float64(measured)
-	}
 	m.HTTPBusy = hB.Snapshot()
 	m.DownloadBusy = dB.Snapshot()
 	m.ExtractBusy = xB.Snapshot()
 	m.SimsearchBusy = sB.Snapshot()
-	m.GPUMemGB = gpuMem
-	m.SysMemGB = sysMem
-	if span := se.Now() - measStartT; span > 0 && e.warmupDone {
-		m.Throughput = float64(e.completed-measStartCompleted) / span
+
+	var good int64
+	for _, de := range domains {
+		m.Completed += de.completed
+		good += de.goodDone
+		m.addCounters(de)
+	}
+	if sharded {
+		m.addCounters(core)
+	}
+	if measured := m.Completed - measStartCompleted; measured > 0 {
+		m.EnergyPerRequestJ = energyJ / float64(measured)
+	}
+	span := opts.Duration - measStartT
+	if span > 0 && warm {
+		m.Throughput = float64(m.Completed-measStartCompleted) / span
+	}
+	m.Goodput = m.Throughput
+	if core.resOn {
+		m.Goodput = 0
+		if span > 0 && warm {
+			m.Goodput = float64(good-measStartGood) / span
+		}
+	}
+	m.AvailabilityFraction = 1
+	if tot := int64(m.Completed) + m.FailedRequests; tot > 0 {
+		m.AvailabilityFraction = float64(int64(m.Completed)) / float64(tot)
 	}
 	for i, name := range TaskNames {
-		m.TaskTimes[name] = e.taskAgg[i].Snapshot()
+		var w stats.Welford
+		w.Merge(core.taskAgg[i])
+		if sharded {
+			for _, de := range domains {
+				w.Merge(de.taskAgg[i])
+			}
+		}
+		m.TaskTimes[name] = w.Snapshot()
 	}
-	m.Traces = e.traces
+	if sharded {
+		m.mergePercentiles(domains)
+		m.Traces = mergeTraces(domains, opts.TraceRequests)
+	} else {
+		if core.respRes.N() > 0 {
+			core.qScratch = core.respRes.Quantiles(core.qScratch[:0], 0.50, 0.95, 0.99)
+			m.RespP50, m.RespP95, m.RespP99 = core.qScratch[0], core.qScratch[1], core.qScratch[2]
+		}
+		m.Traces = core.traces
+	}
+	return m
+}
+
+// addCounters adds one engine's link and outcome counters to m.
+func (m *Metrics) addCounters(e *engine) {
 	if e.net != nil {
 		for _, l := range e.net.links {
 			m.NetDelivered += l.Delivered()
 			m.NetRetransmits += l.Retransmits()
 		}
 	}
-	m.GatewayFailures = e.cGatewayFail
-	m.CrashRequeues = e.cCrashReq
-	m.CrashFailures = e.cCrashFail
-	m.DroppedArrivals = e.cDropped
-	m.Retries = e.cRetries
-	m.RetrySuccesses = e.cRetrySucc
-	m.Hedges = e.cHedges
-	m.HedgeWins = e.cHedgeWins
-	m.Rerouted = e.cRerouted
-	m.Shed = e.cShed
-	m.BreakerOpens = e.cBrkOpens
-	m.DeadlineExceeded = e.cDeadline
-	m.FailedRequests = e.cFailed
-	if tot := int64(e.completed) + e.cFailed; tot > 0 {
-		m.AvailabilityFraction = float64(int64(e.completed)) / float64(tot)
-	} else {
-		m.AvailabilityFraction = 1
-	}
-	m.Goodput = m.Throughput
-	if e.resOn {
-		m.Goodput = 0
-		if span := se.Now() - measStartT; span > 0 && e.warmupDone {
-			m.Goodput = float64(e.goodDone-measStartGood) / span
-		}
-	}
-	return m, nil
+	m.GatewayFailures += e.cGatewayFail
+	m.CrashRequeues += e.cCrashReq
+	m.CrashFailures += e.cCrashFail
+	m.DroppedArrivals += e.cDropped
+	m.Retries += e.cRetries
+	m.RetrySuccesses += e.cRetrySucc
+	m.Hedges += e.cHedges
+	m.HedgeWins += e.cHedgeWins
+	m.Rerouted += e.cRerouted
+	m.Shed += e.cShed
+	m.BreakerOpens += e.cBrkOpens
+	m.DeadlineExceeded += e.cDeadline
+	m.FailedRequests += e.cFailed
 }
 
 // submit issues one request, assigned round-robin to a replica (and, in

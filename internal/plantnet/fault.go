@@ -19,20 +19,21 @@ import (
 	"e2clab/internal/sim"
 )
 
-// setupFaults validates the spec against the prepared topology, compiles
-// the timeline, and schedules it. Called from run() on a prepared engine.
-func (e *engine) setupFaults(opts RunOptions) error {
-	spec := opts.Faults
+// loadFaults validates the run's fault schedule against its global
+// topology and returns the timeline in buf: FaultTimeline copied verbatim
+// (a pre-compiled window of a wall-clock timeline, fault.Windows, or an
+// explicit test schedule), else the spec compiled with the run's fault
+// stream. Both kernel families load through here, so they reject the same
+// inputs and realize the same schedule.
+func loadFaults(buf []fault.Event, opts RunOptions) ([]fault.Event, error) {
+	spec, nm := opts.Faults, opts.Network
 	if err := spec.Validate(); err != nil {
-		return err
+		return buf, err
 	}
-	ngw := 0
-	if e.net != nil {
-		ngw = len(e.net.paths)
-	}
+	ngw := nm.gateways()
 	checkLinkTarget := func(g int, what string) error {
 		if g == fault.Backhaul {
-			if len(e.net.backhaul) == 0 {
+			if !nm.hasBackhaul() {
 				return fmt.Errorf("plantnet: %s targets the backhaul, but the model has no backhaul links", what)
 			}
 			return nil
@@ -40,77 +41,86 @@ func (e *engine) setupFaults(opts RunOptions) error {
 		if g >= ngw {
 			return fmt.Errorf("plantnet: %s targets gateway %d of %d", what, g, ngw)
 		}
-		if own := e.net.own[g]; own[0] == nil && own[1] == nil {
+		if !nm.ownsUplink(g) {
 			return fmt.Errorf("plantnet: %s targets gateway %d, whose class has no dedicated uplink", what, g)
 		}
 		return nil
 	}
 	if !spec.IsZero() {
-		if spec.GatewayChurn != nil && e.net == nil {
-			return fmt.Errorf("plantnet: gateway churn requires a simulated network model")
+		if spec.GatewayChurn != nil && nm == nil {
+			return buf, fmt.Errorf("plantnet: gateway churn requires a simulated network model")
 		}
-		if (len(spec.LinkFlaps) > 0 || len(spec.LinkSchedule) > 0) && e.net == nil {
-			return fmt.Errorf("plantnet: link flaps/schedules require a simulated network model")
+		if (len(spec.LinkFlaps) > 0 || len(spec.LinkSchedule) > 0) && nm == nil {
+			return buf, fmt.Errorf("plantnet: link flaps/schedules require a simulated network model")
 		}
 		for _, cr := range spec.ReplicaCrashes {
-			if cr.Replica >= len(e.reps) {
-				return fmt.Errorf("plantnet: crash targets replica %d of %d", cr.Replica, len(e.reps))
+			if cr.Replica >= opts.Replicas {
+				return buf, fmt.Errorf("plantnet: crash targets replica %d of %d", cr.Replica, opts.Replicas)
 			}
 		}
 		for _, f := range spec.LinkFlaps {
 			if err := checkLinkTarget(f.Gateway, "link flap"); err != nil {
-				return err
+				return buf, err
 			}
 		}
 		for _, tr := range spec.LinkSchedule {
 			if err := checkLinkTarget(tr.Gateway, "link transition"); err != nil {
-				return err
+				return buf, err
 			}
 		}
 	}
+	if opts.FaultTimeline == nil {
+		return fault.CompileInto(buf, spec, opts.Seed+307, opts.Duration, ngw), nil
+	}
+	for i := range opts.FaultTimeline {
+		ev := &opts.FaultTimeline[i]
+		switch ev.Kind {
+		case fault.GatewayLeave, fault.GatewayJoin:
+			if nm == nil || ev.Target >= ngw {
+				return buf, fmt.Errorf("plantnet: timeline event %d targets gateway %d of %d", i, ev.Target, ngw)
+			}
+		case fault.ReplicaCrash, fault.ReplicaRecover:
+			if ev.Target >= opts.Replicas {
+				return buf, fmt.Errorf("plantnet: timeline event %d targets replica %d of %d", i, ev.Target, opts.Replicas)
+			}
+		case fault.LinkDown, fault.LinkUp, fault.LinkSet:
+			if nm == nil {
+				return buf, fmt.Errorf("plantnet: timeline event %d needs a simulated network model", i)
+			}
+			if err := checkLinkTarget(ev.Target, "timeline event"); err != nil {
+				return buf, err
+			}
+		}
+	}
+	return append(buf[:0], opts.FaultTimeline...), nil
+}
 
-	if opts.FaultTimeline != nil {
-		// A pre-compiled window of a wall-clock timeline (fault.Windows)
-		// or an explicit test schedule: validate targets, schedule
-		// verbatim.
-		for i := range opts.FaultTimeline {
-			ev := &opts.FaultTimeline[i]
-			switch ev.Kind {
-			case fault.GatewayLeave, fault.GatewayJoin:
-				if e.net == nil || ev.Target >= ngw {
-					return fmt.Errorf("plantnet: timeline event %d targets gateway %d of %d", i, ev.Target, ngw)
-				}
-			case fault.ReplicaCrash, fault.ReplicaRecover:
-				if ev.Target >= len(e.reps) {
-					return fmt.Errorf("plantnet: timeline event %d targets replica %d of %d", i, ev.Target, len(e.reps))
-				}
-			case fault.LinkDown, fault.LinkUp, fault.LinkSet:
-				if e.net == nil {
-					return fmt.Errorf("plantnet: timeline event %d needs a simulated network model", i)
-				}
-				if err := checkLinkTarget(ev.Target, "timeline event"); err != nil {
-					return err
-				}
-			}
-		}
-		e.faultEvents = append(e.faultEvents[:0], opts.FaultTimeline...)
-	} else {
-		e.faultEvents = fault.CompileInto(e.faultEvents, spec, opts.Seed+307, opts.Duration, ngw)
-	}
-	if e.faultRng == nil {
-		e.faultRng = rngutil.New(opts.Seed + 313)
-	} else {
-		e.faultRng.Seed(opts.Seed + 313)
+// installFaults schedules an engine's share of the timeline; start calls
+// it first so fault events fire before any same-instant pipeline event.
+// The engine reads evs for the whole run. Liveness tables reset to all-up
+// (a domain shard sizes its replica table by the global count it mirrors),
+// and where the replicas live the failover-delay stream is re-seeded.
+func (e *engine) installFaults(evs []fault.Event, seed int64) {
+	e.faultEvents = evs
+	ngw := 0
+	if e.net != nil {
+		ngw = len(e.net.paths)
 	}
 	e.gwDown = resetBools(e.gwDown, ngw)
-	e.repDown = resetBools(e.repDown, len(e.reps))
+	e.repDown = resetBools(e.repDown, e.repCount())
+	if e.shRole != shDomain {
+		if e.faultRng == nil {
+			e.faultRng = rngutil.New(seed + 313)
+		} else {
+			e.faultRng.Seed(seed + 313)
+		}
+	}
 	if e.faultStepFn == nil {
 		e.faultStepFn = e.faultStep
 	}
-	for i := range e.faultEvents {
-		e.sim.At(e.faultEvents[i].At, e.faultStepFn)
+	for i := range evs {
+		e.sim.At(evs[i].At, e.faultStepFn)
 	}
-	return nil
 }
 
 // resetBools returns a length-n all-false slice reusing b's capacity.

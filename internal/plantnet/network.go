@@ -66,6 +66,42 @@ func (nm *NetworkModel) Validate() error {
 	return nil
 }
 
+// gateways returns the model's total gateway count (0 for no model).
+func (nm *NetworkModel) gateways() int {
+	if nm == nil {
+		return 0
+	}
+	n := 0
+	for _, c := range nm.Classes {
+		n += c.Gateways
+	}
+	return n
+}
+
+// hasBackhaul reports whether the model builds any shared backhaul link.
+func (nm *NetworkModel) hasBackhaul() bool {
+	for _, specs := range [][]netem.LinkSpec{nm.BackhaulUp, nm.BackhaulDown} {
+		for _, s := range specs {
+			if !s.IsZero() {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// ownsUplink reports whether gateway g (a global index) has a dedicated
+// link of its own, the target of its link flaps and transitions.
+func (nm *NetworkModel) ownsUplink(g int) bool {
+	for _, c := range nm.Classes {
+		if g < c.Gateways {
+			return !c.Up.IsZero() || !c.Down.IsZero()
+		}
+		g -= c.Gateways
+	}
+	return false
+}
+
 // gatewayPath is one gateway's hop sequence: up in device->engine order,
 // down in engine->device order. Backhaul entries alias the shared links.
 type gatewayPath struct {

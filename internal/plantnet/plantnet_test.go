@@ -3,8 +3,6 @@ package plantnet
 import (
 	"math"
 	"testing"
-
-	"e2clab/internal/monitor"
 )
 
 // shortRun runs a 300-second experiment (enough for stable means in tests;
@@ -446,22 +444,24 @@ func TestReplicasScaleThroughput(t *testing.T) {
 	}
 }
 
-// TestMetricsRegistryExport: engine samples flow into the monitoring
-// manager with all twelve series present and SLO checks working on them.
-func TestMetricsRegistryExport(t *testing.T) {
+// TestSustainedSLOBreachAt140: at 140 requests the baseline breaks the
+// 4-second response-time SLO for a sustained period (paper Fig. 3): some
+// run of consecutive samples above 4 s spans at least 30 s.
+func TestSustainedSLOBreachAt140(t *testing.T) {
 	m := shortRun(t, Baseline, 140)
-	r := m.Registry()
-	names := r.Names()
-	if len(names) != 12 {
-		t.Fatalf("series = %v", names)
+	from, longest := math.NaN(), 0.0
+	for _, s := range m.Samples {
+		if !(s.RespTime > 4) { // a window with no completions breaks the run too
+			from = math.NaN()
+			continue
+		}
+		if math.IsNaN(from) {
+			from = s.Time
+		}
+		longest = math.Max(longest, s.Time-from)
 	}
-	if r.Series("user_resp_time").Len() != len(m.Samples) {
-		t.Error("resp series length mismatch")
-	}
-	// At 140 requests the baseline breaks the 4-second SLO persistently.
-	vs := r.Check(monitor.SLO{Series: "user_resp_time", Max: 4, Sustained: 30})
-	if len(vs) == 0 {
-		t.Error("140-request workload should violate the 4s SLO (paper Fig. 3)")
+	if longest < 30 {
+		t.Errorf("140-request workload should violate the 4s SLO for >= 30 s (paper Fig. 3); longest breach %.0f s", longest)
 	}
 }
 

@@ -36,10 +36,8 @@ import (
 
 	"e2clab/internal/fault"
 	"e2clab/internal/netem"
-	"e2clab/internal/resilience"
 	"e2clab/internal/rngutil"
 	"e2clab/internal/sim/shard"
-	"e2clab/internal/stats"
 )
 
 // Engine roles in a sharded run.
@@ -364,23 +362,10 @@ func (e *engine) repCount() int {
 	return len(e.reps)
 }
 
-// domRow is one domain's per-tick sampler snapshot; coreRow the core's raw
-// resource integrals. The merge in finalize replays the sequential
-// sampler's arithmetic over them.
-type domRow struct {
-	resp      stats.Welford
-	completed int
-	good      int64
-}
-
-type coreRow struct {
-	cpuW, gpuW, hB, dB, xB, sB float64
-}
-
 // shardedState is a Runner's pooled sharded-run machinery: the derived
 // per-role network models, the per-role engines, the coordinator, and the
-// reusable fault-routing and sampler-row buffers. Rebuilt when the source
-// model pointer or the hoisting decision changes, reused otherwise.
+// reusable fault-routing buffers. Rebuilt when the source model pointer or
+// the hoisting decision changes, reused otherwise.
 type shardedState struct {
 	src                    *NetworkModel
 	upHoisted, downHoisted bool
@@ -398,10 +383,6 @@ type shardedState struct {
 	faultBuf []fault.Event   // compiled global timeline (buffer reused)
 	evDom    [][]fault.Event // per-domain routed events (local gateway targets)
 	evCore   []fault.Event
-
-	domRows  [][]domRow
-	coreRows []coreRow
-	ticks    []float64
 }
 
 // backhaulFaulted reports whether the run schedules any backhaul link
@@ -432,7 +413,7 @@ func backhaulFaulted(opts RunOptions) bool {
 }
 
 // crossingHoists returns the backhaul propagation delay folded into each
-// crossing: the first uplink hop's and last downlink hop's DelaySec, in
+// crossing: the hoisted uplink and downlink hops' DelaySec, in
 // whole-payload mode with no backhaul fault events. Packet mode never
 // hoists (per-packet pacing depends on the hop's own delay), and faulted
 // backhauls keep their delays so LinkDown/LinkSet semantics are exact.
@@ -440,19 +421,28 @@ func crossingHoists(nm *NetworkModel, opts RunOptions) (up, down float64) {
 	if nm.Packet || backhaulFaulted(opts) {
 		return 0, 0
 	}
-	for _, s := range nm.BackhaulUp {
-		if !s.IsZero() {
-			up = s.DelaySec
-			break
-		}
+	if i := hoistedHop(nm.BackhaulUp, false); i >= 0 {
+		up = nm.BackhaulUp[i].DelaySec
 	}
-	for i := len(nm.BackhaulDown) - 1; i >= 0; i-- {
-		if !nm.BackhaulDown[i].IsZero() {
-			down = nm.BackhaulDown[i].DelaySec
-			break
-		}
+	if i := hoistedHop(nm.BackhaulDown, true); i >= 0 {
+		down = nm.BackhaulDown[i].DelaySec
 	}
 	return up, down
+}
+
+// hoistedHop is the index of the backhaul hop whose propagation a crossing
+// carries — the first built hop, or with last the last one — or -1.
+func hoistedHop(specs []netem.LinkSpec, last bool) int {
+	for k := range specs {
+		i := k
+		if last {
+			i = len(specs) - 1 - k
+		}
+		if !specs[i].IsZero() {
+			return i
+		}
+	}
+	return -1
 }
 
 // hoistDelays copies specs, zeroing the hoisted hop's DelaySec (the
@@ -460,23 +450,8 @@ func crossingHoists(nm *NetworkModel, opts RunOptions) (up, down float64) {
 // when the core's links are built.
 func hoistDelays(specs []netem.LinkSpec, hoist, last bool) []netem.LinkSpec {
 	out := append([]netem.LinkSpec(nil), specs...)
-	if !hoist {
-		return out
-	}
-	if last {
-		for i := len(out) - 1; i >= 0; i-- {
-			if !out[i].IsZero() {
-				out[i].DelaySec = 0
-				break
-			}
-		}
-		return out
-	}
-	for i := range out {
-		if !out[i].IsZero() {
-			out[i].DelaySec = 0
-			break
-		}
+	if i := hoistedHop(out, last); hoist && i >= 0 {
+		out[i].DelaySec = 0
 	}
 	return out
 }
@@ -488,11 +463,7 @@ func hoistDelays(specs []netem.LinkSpec, hoist, last bool) []netem.LinkSpec {
 func newShardedState(nm *NetworkModel, upHoisted, downHoisted bool) *shardedState {
 	sh := &shardedState{src: nm, upHoisted: upHoisted, downHoisted: downHoisted}
 	D := len(nm.Classes)
-	ngw := 0
-	for _, c := range nm.Classes {
-		ngw += c.Gateways
-	}
-	sh.classOf = make([]int32, ngw)
+	sh.classOf = make([]int32, nm.gateways())
 	sh.classLo = make([]int32, D)
 	g := 0
 	for ci, c := range nm.Classes {
@@ -527,89 +498,16 @@ func newShardedState(nm *NetworkModel, upHoisted, downHoisted bool) *shardedStat
 	sh.coreModel = core
 	sh.domains = make([]*engine, D)
 	sh.evDom = make([][]fault.Event, D)
-	sh.domRows = make([][]domRow, D)
 	return sh
 }
 
-// routeFaults validates the fault schedule against the GLOBAL topology
-// (mirroring setupFaults), compiles it once with the sequential kernel's
-// stream (Seed+307 over the global gateway count), and routes each event:
-// gateway and non-backhaul link events to their owning domain (with local
-// gateway targets; gateway churn also mirrors globally to the core, which
-// fails in-flight crossings), replica events to the core (full crash
-// semantics) and to every domain (liveness mirror), backhaul link events to
-// the core.
-func (sh *shardedState) routeFaults(opts RunOptions, ngw int) error {
-	spec := opts.Faults
-	if err := spec.Validate(); err != nil {
-		return err
-	}
-	nm := sh.src
-	hasBackhaul := false
-	for _, s := range nm.BackhaulUp {
-		if !s.IsZero() {
-			hasBackhaul = true
-		}
-	}
-	for _, s := range nm.BackhaulDown {
-		if !s.IsZero() {
-			hasBackhaul = true
-		}
-	}
-	checkLinkTarget := func(g int, what string) error {
-		if g == fault.Backhaul {
-			if !hasBackhaul {
-				return fmt.Errorf("plantnet: %s targets the backhaul, but the model has no backhaul links", what)
-			}
-			return nil
-		}
-		if g >= ngw {
-			return fmt.Errorf("plantnet: %s targets gateway %d of %d", what, g, ngw)
-		}
-		if c := nm.Classes[sh.classOf[g]]; c.Up.IsZero() && c.Down.IsZero() {
-			return fmt.Errorf("plantnet: %s targets gateway %d, whose class has no dedicated uplink", what, g)
-		}
-		return nil
-	}
-	if !spec.IsZero() {
-		for _, cr := range spec.ReplicaCrashes {
-			if cr.Replica >= opts.Replicas {
-				return fmt.Errorf("plantnet: crash targets replica %d of %d", cr.Replica, opts.Replicas)
-			}
-		}
-		for _, f := range spec.LinkFlaps {
-			if err := checkLinkTarget(f.Gateway, "link flap"); err != nil {
-				return err
-			}
-		}
-		for _, tr := range spec.LinkSchedule {
-			if err := checkLinkTarget(tr.Gateway, "link transition"); err != nil {
-				return err
-			}
-		}
-	}
-	if opts.FaultTimeline != nil {
-		for i := range opts.FaultTimeline {
-			ev := &opts.FaultTimeline[i]
-			switch ev.Kind {
-			case fault.GatewayLeave, fault.GatewayJoin:
-				if ev.Target >= ngw {
-					return fmt.Errorf("plantnet: timeline event %d targets gateway %d of %d", i, ev.Target, ngw)
-				}
-			case fault.ReplicaCrash, fault.ReplicaRecover:
-				if ev.Target >= opts.Replicas {
-					return fmt.Errorf("plantnet: timeline event %d targets replica %d of %d", i, ev.Target, opts.Replicas)
-				}
-			case fault.LinkDown, fault.LinkUp, fault.LinkSet:
-				if err := checkLinkTarget(ev.Target, "timeline event"); err != nil {
-					return err
-				}
-			}
-		}
-		sh.faultBuf = append(sh.faultBuf[:0], opts.FaultTimeline...)
-	} else {
-		sh.faultBuf = fault.CompileInto(sh.faultBuf, spec, opts.Seed+307, opts.Duration, ngw)
-	}
+// routeFaults routes each event of the loaded global timeline to the
+// engines it affects: gateway and non-backhaul link events to their owning
+// domain (with local gateway targets; gateway churn also mirrors globally
+// to the core, which fails in-flight crossings), replica events to the core
+// (full crash semantics) and to every domain (liveness mirror), backhaul
+// link events to the core.
+func (sh *shardedState) routeFaults() {
 	for d := range sh.evDom {
 		sh.evDom[d] = sh.evDom[d][:0]
 	}
@@ -638,35 +536,24 @@ func (sh *shardedState) routeFaults(opts RunOptions, ngw int) error {
 			sh.evDom[d] = append(sh.evDom[d], lev)
 		}
 	}
-	return nil
 }
 
-// installShardFaults schedules an engine's routed fault slice, mirroring
-// setupFaults' ordering guarantee: fault events are placed on the calendar
-// before arrivals and sampler ticks, so at any shared instant they fire
-// first. replicas sizes the liveness mirror (a domain tracks the GLOBAL
-// replica count; its own reps slice is empty).
-func installShardFaults(e *engine, evs []fault.Event, seed int64, replicas int, withRng bool) {
-	e.faultEvents = append(e.faultEvents[:0], evs...)
-	e.gwDown = resetBools(e.gwDown, len(e.net.paths))
-	e.repDown = resetBools(e.repDown, replicas)
-	if withRng {
-		if e.faultRng == nil {
-			e.faultRng = rngutil.New(seed + 313)
-		} else {
-			e.faultRng.Seed(seed + 313)
-		}
+// clientsOn counts the closed-loop clients of n, dealt round-robin over ngw
+// gateways like the sequential kernel's, that land on the g gateways
+// starting at global index lo.
+func clientsOn(n, lo, g, ngw int) int {
+	c := n / ngw * g
+	if r := n % ngw; r > lo {
+		c += min(r-lo, g)
 	}
-	if e.faultStepFn == nil {
-		e.faultStepFn = e.faultStep
-	}
-	for i := range e.faultEvents {
-		e.sim.At(e.faultEvents[i].At, e.faultStepFn)
-	}
+	return c
 }
 
 // runSharded executes one experiment on the sharded kernel (Shards >= 2;
-// opts already defaults-filled and validated by Run).
+// opts already defaults-filled and validated by Run). It is the sharded
+// family of the shared run driver: one core engine and one domain engine
+// per gateway class, each started like a sequential engine on its share
+// of the run.
 func (r *Runner) runSharded(opts RunOptions) (*Metrics, error) {
 	nm := opts.Network
 	if nm == nil {
@@ -689,14 +576,16 @@ func (r *Runner) runSharded(opts RunOptions) (*Metrics, error) {
 	ngw := len(sh.classOf)
 	faulted := !opts.Faults.IsZero() || opts.FaultTimeline != nil
 	if faulted {
-		if err := sh.routeFaults(opts, ngw); err != nil {
+		var err error
+		if sh.faultBuf, err = loadFaults(sh.faultBuf, opts); err != nil {
 			return nil, err
 		}
+		sh.routeFaults()
 	}
 
 	// Core shard: replicas, pools, backhaul. It inherits the run seed, so
-	// its service-time stream (rng) and backhaul loss stream (netRng) are
-	// seeded exactly like the sequential kernel's.
+	// its service-time (rng), backhaul loss (netRng) and failover
+	// (faultRng) streams are seeded exactly like the sequential kernel's.
 	coreOpts := opts
 	coreOpts.Network = sh.coreModel
 	coreOpts.Clients, coreOpts.OpenLoopRate, coreOpts.Arrivals = 0, 0, nil
@@ -716,13 +605,10 @@ func (r *Runner) runSharded(opts RunOptions) (*Metrics, error) {
 		ce.shTokRep[i] = ce.shTokRep[i][:0]
 	}
 	ce.shSlotFree = append(ce.shSlotFree[:0], ce.shSlots...)
-	if faulted {
-		installShardFaults(ce, sh.evCore, opts.Seed, opts.Replicas, true)
+	if err := ce.start(coreOpts, sh.evCore, 0, 0); err != nil {
+		return nil, err
 	}
 	if ce.resOn {
-		if err := ce.setupResilience(coreOpts); err != nil {
-			return nil, err
-		}
 		// Retries and hedges are domain decisions; the core runs each arm
 		// to exactly one outcome.
 		ce.resHedgeOn = false
@@ -731,13 +617,16 @@ func (r *Runner) runSharded(opts RunOptions) (*Metrics, error) {
 	}
 
 	// Domain shards: one per gateway class, each with its own seeded
-	// streams (the domain-partitioned RNG family).
+	// streams (the domain-partitioned RNG family) and its class's share of
+	// the arrivals. Open-loop processes scale the global rate by the
+	// domain's gateway fraction; closed-loop clients map to gateways
+	// exactly like the sequential round-robin (client i -> gateway i mod
+	// ngw) and stagger with their own domain's stream.
 	seeder := rngutil.NewSeeder(opts.Seed + 401)
 	for d := 0; d < D; d++ {
 		domOpts := opts
 		domOpts.Network = sh.domModels[d]
 		domOpts.Replicas = 0 // replica objects live on the core
-		domOpts.Clients, domOpts.OpenLoopRate, domOpts.Arrivals = 0, 0, nil
 		domOpts.Faults, domOpts.FaultTimeline = nil, nil
 		domOpts.Shards = 0
 		domOpts.Seed = seeder.Next()
@@ -755,112 +644,17 @@ func (r *Runner) runSharded(opts RunOptions) (*Metrics, error) {
 		de.shArms = de.shArms[:0]
 		de.shArmFree = de.shArmFree[:0]
 		de.shSlotFree = append(de.shSlotFree[:0], de.shSlots...)
-		if faulted {
-			installShardFaults(de, sh.evDom[d], domOpts.Seed, opts.Replicas, false)
+		g := nm.Classes[d].Gateways
+		rate := openRate(opts) * float64(g) / float64(ngw)
+		if err := de.start(domOpts, sh.evDom[d], rate, clientsOn(opts.Clients, int(sh.classLo[d]), g, ngw)); err != nil {
+			return nil, err
 		}
 		if de.resOn {
-			if err := de.setupResilience(domOpts); err != nil {
-				return nil, err
-			}
 			// Breakers guard replicas, which live on the core; serials get
 			// a per-domain offset so arm substreams never collide.
 			de.resBrkThresh = 0
 			de.resSerial = uint64(d+1) << 40
 		}
-	}
-
-	// Arrivals, split by each domain's share of the gateway population.
-	// Closed-loop clients map to gateways exactly like the sequential
-	// round-robin (client i -> gateway i mod ngw) and stagger with their
-	// own domain's stream; open-loop processes thin the global rate by the
-	// domain's gateway fraction.
-	switch {
-	case opts.Arrivals != nil:
-		rates := opts.Arrivals
-		lmax := rates.Max()
-		for d := 0; d < D; d++ {
-			de := sh.domains[d]
-			de.openLoop = true
-			ld := lmax * float64(nm.Classes[d].Gateways) / float64(ngw)
-			se := de.sim
-			e := de
-			var arrive func()
-			arrive = func() {
-				if e.rng.Float64()*lmax < rates.At(se.Now()) {
-					e.submit()
-				}
-				se.Schedule(e.rng.ExpFloat64()/ld, arrive)
-			}
-			se.Schedule(e.rng.ExpFloat64()/ld, arrive)
-		}
-	case opts.OpenLoopRate > 0:
-		for d := 0; d < D; d++ {
-			de := sh.domains[d]
-			de.openLoop = true
-			rate := opts.OpenLoopRate * float64(nm.Classes[d].Gateways) / float64(ngw)
-			se := de.sim
-			e := de
-			var arrive func()
-			arrive = func() {
-				e.submit()
-				se.Schedule(e.rng.ExpFloat64()/rate, arrive)
-			}
-			se.Schedule(e.rng.ExpFloat64()/rate, arrive)
-		}
-	default:
-		for i := 0; i < opts.Clients; i++ {
-			de := sh.domains[sh.classOf[i%ngw]]
-			de.sim.Schedule(de.rng.Float64()*2, de.submit)
-		}
-	}
-
-	// Sampler ticks: each domain snapshots its completion window, the core
-	// its resource integrals; finalize merges the rows with the sequential
-	// sampler's arithmetic.
-	sh.ticks = sh.ticks[:0]
-	for t := opts.SampleInterval; t <= opts.Duration+1e-9; t += opts.SampleInterval {
-		sh.ticks = append(sh.ticks, t)
-	}
-	for d := range sh.domRows {
-		sh.domRows[d] = sh.domRows[d][:0]
-	}
-	sh.coreRows = sh.coreRows[:0]
-	warmup := opts.Warmup
-	for d := 0; d < D; d++ {
-		de := sh.domains[d]
-		rows := &sh.domRows[d]
-		tick := func() {
-			*rows = append(*rows, domRow{resp: de.windowResp, completed: de.completed, good: de.goodDone})
-			de.windowResp = stats.Welford{}
-			if de.resOn && de.resHedgeQ > 0 && de.respRes.N() >= resilience.HedgeMinSamples {
-				de.qScratch = de.respRes.Quantiles(de.qScratch[:0], de.resHedgeQ)
-				de.resHedgeDelay = de.qScratch[0]
-			}
-			if de.sim.Now() > warmup && !de.warmupDone {
-				de.warmupDone = true
-			}
-		}
-		for _, t := range sh.ticks {
-			de.sim.At(t, tick)
-		}
-	}
-	coreTick := func() {
-		var row coreRow
-		for _, rep := range ce.reps {
-			row.cpuW += rep.cpu.WorkIntegral()
-			row.gpuW += rep.gpu.WorkIntegral()
-			row.hB += rep.http.BusyIntegral()
-			row.dB += rep.dl.BusyIntegral()
-			row.xB += rep.ex.BusyIntegral()
-			row.sB += rep.ss.BusyIntegral()
-		}
-		sh.coreRows = append(sh.coreRows, row)
-		if ce.sim.Now() > warmup && !ce.warmupDone {
-			ce.warmupDone = true
-		}
-	}
-	for _, t := range sh.ticks {
-		ce.sim.At(t, coreTick)
 	}
 
 	if sh.coord == nil {
@@ -875,8 +669,7 @@ func (r *Runner) runSharded(opts RunOptions) (*Metrics, error) {
 		sh.coord.Reset(window)
 	}
 	sh.coord.Run(opts.Duration, opts.Shards)
-
-	return sh.finalize(opts)
+	return finalize(opts, ce, sh.domains, true), nil
 }
 
 // weightedVals sorts a (value, weight) pair of parallel slices by value.
@@ -919,121 +712,14 @@ func weightedQuantile(vals, ws []float64, total, q float64) float64 {
 	return vals[len(vals)-1]
 }
 
-// finalize merges the per-shard sampler rows, counters, reservoirs and
-// traces into one Metrics, replaying the sequential sampler's arithmetic
-// tick by tick (domain windows merge in domain order; resource integrals
-// come whole from the core).
-func (sh *shardedState) finalize(opts RunOptions) (*Metrics, error) {
-	m := &Metrics{Config: opts.Pools, Clients: opts.Clients, Replicas: opts.Replicas,
-		Duration: opts.Duration, TaskTimes: make(map[string]stats.Summary)}
-	cal, hw := opts.Cal, opts.Hardware
-	nRep := float64(opts.Replicas)
-	gpuMem := cal.GPUMemGB(opts.Pools)
-	sysMem := cal.SysMemGB(opts.Pools)
-	D := len(sh.domains)
-
-	var (
-		lastCPUWork, lastGPUWork          float64
-		lastHTTPB, lastDLB                float64
-		lastExB, lastSSB                  float64
-		lastT                             float64
-		respW, cpuW, gpuW, hB, dB, xB, sB stats.Welford
-		gpuPW, cpuPW                      stats.Welford
-		energyJ                           float64
-		measStartT                        float64
-		measStartCompleted                int
-		measStartGood                     int64
-		warmupSeen                        bool
-	)
-	for i, t := range sh.ticks {
-		dt := t - lastT
-		if dt <= 0 {
-			continue
-		}
-		row := sh.coreRows[i]
-		s := Sample{Time: t, GPUMemGB: gpuMem, SysMemGB: sysMem}
-		s.CPUUtil = (row.cpuW - lastCPUWork) / (hw.CPUCores * nRep * dt)
-		lastCPUWork = row.cpuW
-		s.GPUUtil = (row.gpuW - lastGPUWork) / (cal.GPURate * nRep * dt)
-		lastGPUWork = row.gpuW
-		s.GPUPowerW = (cal.GPUIdlePowerW + cal.GPUPowerSlopeW*s.GPUUtil) * nRep
-		s.CPUPowerW = (cal.CPUIdlePowerW + cal.CPUPowerSlopeW*s.CPUUtil) * nRep
-		s.HTTPBusy = (row.hB - lastHTTPB) / (float64(opts.Pools.HTTP) * nRep * dt)
-		s.DownloadBusy = (row.dB - lastDLB) / (float64(opts.Pools.Download) * nRep * dt)
-		s.ExtractBusy = (row.xB - lastExB) / (float64(opts.Pools.Extract) * nRep * dt)
-		s.SimsearchBusy = (row.sB - lastSSB) / (float64(opts.Pools.Simsearch) * nRep * dt)
-		lastHTTPB, lastDLB, lastExB, lastSSB = row.hB, row.dB, row.xB, row.sB
-		var w stats.Welford
-		completedNow := 0
-		goodNow := int64(0)
-		for d := 0; d < D; d++ {
-			dr := sh.domRows[d][i]
-			w.Merge(dr.resp)
-			completedNow += dr.completed
-			goodNow += dr.good
-		}
-		if w.N() > 0 {
-			s.RespTime = w.Mean()
-			s.Throughput = float64(w.N()) / dt
-		} else {
-			s.RespTime = math.NaN()
-		}
-		lastT = t
-		if t > opts.Warmup {
-			if !warmupSeen {
-				warmupSeen = true
-				measStartT = t
-				measStartCompleted = completedNow
-				measStartGood = goodNow
-			} else {
-				if !math.IsNaN(s.RespTime) {
-					respW.Add(s.RespTime)
-				}
-				cpuW.Add(s.CPUUtil)
-				gpuW.Add(s.GPUUtil)
-				gpuPW.Add(s.GPUPowerW)
-				cpuPW.Add(s.CPUPowerW)
-				energyJ += (s.GPUPowerW + s.CPUPowerW) * dt
-				hB.Add(s.HTTPBusy)
-				dB.Add(s.DownloadBusy)
-				xB.Add(s.ExtractBusy)
-				sB.Add(s.SimsearchBusy)
-				m.Samples = append(m.Samples, s)
-			}
-		}
-	}
-
-	totCompleted := 0
-	var totGood int64
-	for _, de := range sh.domains {
-		totCompleted += de.completed
-		totGood += de.goodDone
-	}
-	m.Completed = totCompleted
-	m.UserResponseTime = respW.Snapshot()
-	m.CPUUtil = cpuW.Snapshot()
-	m.GPUUtil = gpuW.Snapshot()
-	m.GPUPowerW = gpuPW.Snapshot()
-	m.CPUPowerW = cpuPW.Snapshot()
-	if measured := totCompleted - measStartCompleted; measured > 0 {
-		m.EnergyPerRequestJ = energyJ / float64(measured)
-	}
-	m.HTTPBusy = hB.Snapshot()
-	m.DownloadBusy = dB.Snapshot()
-	m.ExtractBusy = xB.Snapshot()
-	m.SimsearchBusy = sB.Snapshot()
-	m.GPUMemGB = gpuMem
-	m.SysMemGB = sysMem
-	if span := opts.Duration - measStartT; span > 0 && warmupSeen {
-		m.Throughput = float64(totCompleted-measStartCompleted) / span
-	}
-
-	// Response percentiles: merge the per-domain reservoirs as weighted
-	// samples (each reservoir value stands for N/len(values) requests), so
-	// unevenly loaded domains contribute in proportion to their traffic.
+// mergePercentiles sets m's response percentiles from the per-domain
+// reservoirs merged as weighted samples (each reservoir value stands for
+// N/len(values) requests), so unevenly loaded domains contribute in
+// proportion to their traffic.
+func (m *Metrics) mergePercentiles(domains []*engine) {
 	var pv, pw []float64
 	var totalN float64
-	for _, de := range sh.domains {
+	for _, de := range domains {
 		n := de.respRes.N()
 		if n == 0 {
 			continue
@@ -1052,67 +738,20 @@ func (sh *shardedState) finalize(opts RunOptions) (*Metrics, error) {
 		m.RespP95 = weightedQuantile(pv, pw, totalN, 0.95)
 		m.RespP99 = weightedQuantile(pv, pw, totalN, 0.99)
 	}
+}
 
-	for i, name := range TaskNames {
-		var w stats.Welford
-		w.Merge(sh.core.taskAgg[i])
-		for _, de := range sh.domains {
-			w.Merge(de.taskAgg[i])
-		}
-		m.TaskTimes[name] = w.Snapshot()
+// mergeTraces keeps the first n traced requests across the domains, in
+// completion-time order.
+func mergeTraces(domains []*engine, n int) []RequestTrace {
+	var all []RequestTrace
+	for _, de := range domains {
+		all = append(all, de.traces...)
 	}
-
-	if opts.TraceRequests > 0 {
-		var all []RequestTrace
-		for _, de := range sh.domains {
-			all = append(all, de.traces...)
-		}
-		sort.SliceStable(all, func(i, j int) bool {
-			return all[i].Start+all[i].Response < all[j].Start+all[j].Response
-		})
-		if len(all) > opts.TraceRequests {
-			all = all[:opts.TraceRequests]
-		}
-		m.Traces = all
+	sort.SliceStable(all, func(i, j int) bool {
+		return all[i].Start+all[i].Response < all[j].Start+all[j].Response
+	})
+	if len(all) > n {
+		all = all[:n]
 	}
-
-	sumCounters := func(en *engine) {
-		if en.net != nil {
-			for _, l := range en.net.links {
-				m.NetDelivered += l.Delivered()
-				m.NetRetransmits += l.Retransmits()
-			}
-		}
-		m.GatewayFailures += en.cGatewayFail
-		m.CrashRequeues += en.cCrashReq
-		m.CrashFailures += en.cCrashFail
-		m.DroppedArrivals += en.cDropped
-		m.Retries += en.cRetries
-		m.RetrySuccesses += en.cRetrySucc
-		m.Hedges += en.cHedges
-		m.HedgeWins += en.cHedgeWins
-		m.Rerouted += en.cRerouted
-		m.Shed += en.cShed
-		m.BreakerOpens += en.cBrkOpens
-		m.DeadlineExceeded += en.cDeadline
-		m.FailedRequests += en.cFailed
-	}
-	for _, de := range sh.domains {
-		sumCounters(de)
-	}
-	sumCounters(sh.core)
-
-	if tot := int64(totCompleted) + m.FailedRequests; tot > 0 {
-		m.AvailabilityFraction = float64(int64(totCompleted)) / float64(tot)
-	} else {
-		m.AvailabilityFraction = 1
-	}
-	m.Goodput = m.Throughput
-	if sh.core.resOn {
-		m.Goodput = 0
-		if span := opts.Duration - measStartT; span > 0 && warmupSeen {
-			m.Goodput = float64(totGood-measStartGood) / span
-		}
-	}
-	return m, nil
+	return all
 }

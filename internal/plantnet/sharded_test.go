@@ -10,6 +10,7 @@ import (
 	"e2clab/internal/fault"
 	"e2clab/internal/netem"
 	"e2clab/internal/resilience"
+	"e2clab/internal/stats"
 )
 
 // metricsFingerprint renders every Metrics field bit-exactly (floats as raw
@@ -69,11 +70,12 @@ func metricsFingerprint(m *Metrics) string {
 	f("AvailabilityFraction", m.AvailabilityFraction)
 	f("Goodput", m.Goodput)
 	for k, s := range m.Samples {
-		fmt.Fprintf(&b, "S%d=%016x,%016x,%016x,%016x,%016x,%016x,%016x,%016x,%016x,%016x,%016x,%016x\n",
+		fmt.Fprintf(&b, "S%d=%016x,%016x,%016x,%016x,%016x,%016x,%016x,%016x,%016x,%016x,%016x,%016x,%016x\n",
 			k, math.Float64bits(s.Time), math.Float64bits(s.RespTime), math.Float64bits(s.Throughput),
 			math.Float64bits(s.CPUUtil), math.Float64bits(s.GPUUtil), math.Float64bits(s.GPUPowerW),
 			math.Float64bits(s.CPUPowerW), math.Float64bits(s.GPUMemGB), math.Float64bits(s.SysMemGB),
-			math.Float64bits(s.HTTPBusy), math.Float64bits(s.DownloadBusy), math.Float64bits(s.ExtractBusy))
+			math.Float64bits(s.HTTPBusy), math.Float64bits(s.DownloadBusy), math.Float64bits(s.ExtractBusy),
+			math.Float64bits(s.SimsearchBusy))
 	}
 	for k, tr := range m.Traces {
 		fmt.Fprintf(&b, "T%d=%016x,%016x", k, math.Float64bits(tr.Start), math.Float64bits(tr.Response))
@@ -400,5 +402,72 @@ func TestShardedSteadyStateNoWindowLeak(t *testing.T) {
 	long := measure(mk(400, 50)) // 2000 windows, 8 ticks
 	if long > short*1.5+256 {
 		t.Errorf("window loop leaks allocations: short-run=%v long-run=%v", short, long)
+	}
+}
+
+// TestShardedLastTickPastHorizon: when the sampler ticks accumulate past
+// Duration (10 x 0.7 sums to 7.000000000000001), the last tick sits in the
+// 1e-9 slack of the tick loop but never fires. Both families must ignore
+// it and record the same sample instants. Suite JSON reaches this through
+// scenario lowering's SampleInterval = min(10, d/10).
+func TestShardedLastTickPastHorizon(t *testing.T) {
+	for _, c := range []struct{ duration, interval, warmup float64 }{
+		{0.3, 0.1, 0},
+		{7, 0.7, 1},
+	} {
+		opts := RunOptions{
+			Pools: Baseline, Clients: 5, Network: shardedNetModel(false),
+			Duration: c.duration, SampleInterval: c.interval, Warmup: c.warmup, Seed: 3,
+		}
+		seq, err := Run(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Shards = 2
+		shd, err := Run(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(seq.Samples) != len(shd.Samples) {
+			t.Fatalf("duration %v: sequential recorded %d samples, sharded %d", c.duration, len(seq.Samples), len(shd.Samples))
+		}
+		for k := range seq.Samples {
+			if got, want := shd.Samples[k].Time, seq.Samples[k].Time; got != want || got > c.duration {
+				t.Errorf("duration %v: sample %d at %v, sequential at %v", c.duration, k, got, want)
+			}
+		}
+	}
+}
+
+// TestWeightedQuantile pins the weighted merge's quantile rule directly.
+func TestWeightedQuantile(t *testing.T) {
+	vals := []float64{0.3, 1.1, 1.7, 2.9, 4.2, 5.05, 8.75}
+	ones := make([]float64, len(vals))
+	for i := range ones {
+		ones[i] = 1
+	}
+	for _, q := range []float64{0.05, 0.25, 0.5, 0.61, 0.95, 0.99} {
+		got, want := weightedQuantile(vals, ones, float64(len(vals)), q), stats.Quantile(vals, q)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("unit weights q=%v: got %v, stats.Quantile %v", q, got, want)
+		}
+	}
+	for _, c := range []struct{ q, want float64 }{{0, 0.3}, {-1, 0.3}, {1, 8.75}, {2, 8.75}} {
+		if got := weightedQuantile(vals, ones, float64(len(vals)), c.q); got != c.want {
+			t.Errorf("q=%v: got %v, want %v", c.q, got, c.want)
+		}
+	}
+	// Ranks 0 | 1..5 | 6: the heavy middle sample owns its whole span, and
+	// the unit gaps on either side interpolate.
+	v, w := []float64{1, 2, 3}, []float64{1, 5, 1}
+	for _, c := range []struct{ q, want float64 }{
+		{1.0 / 6, 2}, {0.5, 2}, {4.0 / 6, 2}, {1.0 / 12, 1.5}, {11.0 / 12, 2.5},
+	} {
+		if got := weightedQuantile(v, w, 7, c.q); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("heavy sample q=%v: got %v, want %v", c.q, got, c.want)
+		}
+	}
+	if got := weightedQuantile(nil, nil, 0, 0.5); got != 0 {
+		t.Errorf("empty input: got %v, want 0", got)
 	}
 }

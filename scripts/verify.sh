@@ -10,10 +10,13 @@
 # concurrent trial executor, space transforms it exercises), and runs the
 # allocation-regression gate: the kernel's steady-state zero-alloc
 # contracts (sim/alloc_test.go) must hold, or the freelist/calendar work of
-# PR 3 has silently rotted. For wall-clock trends, diff bench snapshots
-# with scripts/bench_compare.sh (flags >10% ns/op or allocs/op growth
-# between two scripts/bench.sh outputs) and render the committed history
-# with scripts/bench_report.sh.
+# PR 3 has silently rotted. Last, it gates the nested bench/ module (the
+# repository benchmark), which the root-module gates above cannot see: vet,
+# the smoke test that drives every workload at a tiny size — the only
+# end-to-end run of the sharded edge-scale suite — and simlint over it.
+# For wall-clock trends, diff bench snapshots with scripts/bench_compare.sh
+# (flags >10% ns/op or allocs/op growth between two scripts/bench.sh
+# outputs) and render the committed history with scripts/bench_report.sh.
 #
 # Each gate's wall-clock time is reported at exit (also on failure) so a
 # creeping gate shows up in CI logs before it becomes the bottleneck. When
@@ -82,4 +85,10 @@ gate chaos-race go test -race -count=1 -run 'Fault|Chaos|Resilien|Availability|F
 # sharded coordinator's steady-state window loop carries the same contract
 # (TestZeroAllocShardWindows).
 gate zero-alloc go test -run 'TestZeroAlloc' -count=1 ./internal/sim/ ./internal/sim/shard/
+# Benchmark gate: bench/ has its own go.mod, so `./...` above skips it. These
+# are the gate commands bench/README.md gives.
+bench_gate() {
+    (cd bench && go vet ./... && go test ./...) && go run ./cmd/simlint -C bench
+}
+gate bench bench_gate
 echo "verify OK"
