@@ -88,7 +88,8 @@ type RunOptions struct {
 	// Shards >= 2 runs THIS experiment on the sharded event kernel
 	// (internal/sim/shard): the gateway classes become domain shards, the
 	// replicas/backhaul a core shard, each with a private engine advancing
-	// in conservative lookahead windows, executed by up to Shards workers.
+	// in conservative lookahead windows, executed by up to Shards workers
+	// (and no more than GOMAXPROCS).
 	// Requires a simulated Network. Output is a fixed-seed deterministic
 	// function of the scenario and is bit-identical for every Shards >= 2
 	// and every GOMAXPROCS — but it is a DIFFERENT deterministic family

@@ -658,6 +658,8 @@ func (r *Runner) runSharded(opts RunOptions) (*Metrics, error) {
 	}
 
 	if sh.coord == nil {
+		// The core is the heaviest node, so it goes last: the coordinator
+		// claims nodes from the last index down, heaviest first.
 		nodes := make([]shard.Node, D+1)
 		for d := 0; d < D; d++ {
 			nodes[d] = shardNode{sh.domains[d]}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -155,6 +156,22 @@ func TestShardedShardCountInvariance(t *testing.T) {
 					t.Errorf("Shards=%d diverged from Shards=2:\n%s", shards, firstDiff(got, want))
 				}
 			}
+			// The contract says any GOMAXPROCS, and the coordinator caps
+			// its workers at GOMAXPROCS: at 1 the windows run inline.
+			t.Run("GOMAXPROCS=1", func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+				for _, shards := range []int{2, 4} {
+					o := opts
+					o.Shards = shards
+					m, err := Run(o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := metricsFingerprint(m); got != want {
+						t.Errorf("Shards=%d at GOMAXPROCS=1 diverged from the reference:\n%s", shards, firstDiff(got, want))
+					}
+				}
+			})
 		})
 	}
 }

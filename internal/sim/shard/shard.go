@@ -10,6 +10,13 @@
 // of how many OS workers execute the windows, which is what makes fixed-seed
 // sharded runs bit-identical at any worker count.
 //
+// A window of a large scenario holds only microseconds of work, so the
+// parallel barrier is built for that: the coordinator goroutine advances
+// nodes itself beside workers-1 helpers, the barrier is a handful of
+// atomics that waiters spin on (yielding their P after a bounded number of
+// polls), workers are capped at GOMAXPROCS, and nodes are claimed from the
+// last index down, so callers put their heaviest node last.
+//
 // This package deliberately lives OUTSIDE lint.KernelPackages: the
 // single-threaded kernel in internal/sim stays free of runtime
 // synchronization (statically enforced by simlint's kernelsync check), and
@@ -20,6 +27,8 @@ package shard
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -91,18 +100,32 @@ func (o *Outbox) Send(dst int32, m Msg) {
 
 // Coordinator owns the window loop: it cuts [0, until] into windows of the
 // configured width, hands each node its due mailbox prefix, runs every
-// node's Advance (inline, or on a persistent worker pool), then routes the
-// emitted messages into per-destination pending buffers kept in delivery
-// order. All mutable state is either node-private (engines, outboxes) or
-// touched only between barriers on the coordinator goroutine.
+// node's Advance (inline, or shared with helper goroutines), then routes
+// the emitted messages into per-destination pending buffers kept in
+// delivery order. All mutable state is either node-private (engines,
+// outboxes) or touched only between barriers on the coordinator goroutine.
 type Coordinator struct {
 	nodes   []Node
 	window  float64
 	outs    []Outbox
 	pending [][]Msg // per destination, sorted by (At, Src, Seq)
 	inboxes [][]Msg // per destination, the due prefix copied out per window
-	cursor  atomic.Int64
+	// The parallel barrier (see runParallel). Each variable that workers
+	// spin on has a cache line of its own, apart from the fields above that
+	// every claim reads, so one worker's polling does not stall another's
+	// writes.
+	_      cacheLine
+	epoch  atomic.Int64 // current window number; -1 stops the helpers
+	_      cacheLine
+	end    atomic.Uint64 // current window end, as float64 bits
+	cursor atomic.Int64  // nodes claimed in the current window
+	_      cacheLine
+	left   atomic.Int64 // nodes of the current window not yet advanced
+	_      cacheLine
 }
+
+// cacheLine pads the barrier variables apart.
+type cacheLine [64]byte
 
 // NewCoordinator builds a coordinator over nodes with the given window
 // width, which must be positive and no larger than the minimum cross-node
@@ -147,23 +170,23 @@ func (c *Coordinator) Reset(window float64) {
 }
 
 // Run advances every node to virtual time until (inclusive), window by
-// window. workers bounds the OS-level parallelism: values <= 1 run the
-// window loop inline on the calling goroutine (bit-identical to any other
-// worker count — the tests enforce it); higher values spawn that many
-// persistent workers for the duration of the call, each pulling node
-// indices from a shared atomic cursor. Which worker advances which node can
-// never affect output: nodes share nothing, and routing happens on the
-// coordinator goroutine between barriers in fixed node order. The parallel
-// path lives in runParallel so the inline path stays allocation-free (the
-// worker closure would otherwise make its captured variables escape here).
+// window. workers bounds the OS-level parallelism and is capped at the node
+// count and at runtime.GOMAXPROCS(0): parallel workers spin at the barrier,
+// and more spinners than Ps would only take turns on them.
+// A cap of 1 runs the window loop inline on the calling goroutine
+// (bit-identical to any other worker count — the tests enforce it); higher
+// values run the windows on the calling goroutine plus workers-1 helpers.
+// Which worker advances which node can never affect output: nodes share
+// nothing, and routing happens on the coordinator goroutine between
+// barriers in fixed node order. The parallel path lives in runParallel so
+// the inline path stays allocation-free (the helper closure and its
+// WaitGroup would otherwise be heap-allocated here).
 //
 //simlint:noalloc steady-state window loop: delivery, advance and routing reuse buffers retained across windows
 func (c *Coordinator) Run(until float64, workers int) {
-	if workers > len(c.nodes) {
-		workers = len(c.nodes)
-	}
+	workers = min(workers, len(c.nodes), runtime.GOMAXPROCS(0))
 	if workers > 1 {
-		c.runParallel(until, workers) //simlint:allow noallocclosure runParallel is the explicitly-parallel cold path; its worker spawn is per-Run, not per-window
+		c.runParallel(until, workers) //simlint:allow noallocclosure runParallel is the explicitly-parallel cold path; its helper spawn is per-Run, not per-window
 		return
 	}
 	for k := int64(1); ; k++ {
@@ -182,33 +205,46 @@ func (c *Coordinator) Run(until float64, workers int) {
 	}
 }
 
-// runParallel is Run's worker-pool variant: the same window loop with the
-// Advance phase fanned out over persistent goroutines. The channels form
-// the barrier — every worker has sent done (and thus finished every Advance
-// it claimed) before the coordinator routes, and the coordinator has
-// finished delivering before any worker receives start — so node-private
+// runParallel is Run's parallel variant: the same window loop with the
+// Advance phase shared between the coordinator goroutine and workers-1
+// helpers, and a barrier of atomics only — no channel handoff, no parking.
+// Per window the coordinator delivers, publishes the window end, refills
+// the count of nodes left, resets the claim cursor and bumps the epoch
+// that wakes the helpers. Every worker, the coordinator included, then
+// runs advanceClaimed, and the coordinator routes once the count of nodes
+// left reaches zero. Each store the coordinator makes before the cursor
+// reset happens-before the claims that observe the reset, and every Advance
+// happens-before the decrement the coordinator waits on, so node-private
 // state is handed off with a happens-before edge in each direction and the
 // race detector observes the discipline, not just the schedule.
 //
+// Nodes are claimed from the last index down, so a caller puts its
+// heaviest node last: it starts first, typically on the coordinator, while
+// the helpers take the rest (plantnet's core shard is last for this
+// reason).
+//
 //simlint:ordered worker assignment is load-balancing only: nodes touch disjoint state and the coordinator routes outboxes in fixed node order after the barrier, so output is independent of worker interleaving
 func (c *Coordinator) runParallel(until float64, workers int) {
-	n := len(c.nodes)
-	start := make(chan float64, workers)
-	done := make(chan struct{}, workers)
 	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	// Stop and join the helpers on every path, a panicking Advance or route
+	// included, so that none is left spinning.
+	defer func() {
+		c.epoch.Store(-1)
+		wg.Wait()
+		c.epoch.Store(0)
+	}()
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for end := range start {
-				for {
-					i := c.cursor.Add(1) - 1
-					if i >= int64(n) {
-						break
-					}
-					c.nodes[i].Advance(end, c.inboxes[i], &c.outs[i])
+			for seen := int64(0); ; {
+				for polls := 0; c.epoch.Load() == seen; {
+					polls = backoff(polls)
 				}
-				done <- struct{}{}
+				if seen = c.epoch.Load(); seen < 0 {
+					return
+				}
+				c.advanceClaimed()
 			}
 		}()
 	}
@@ -218,20 +254,53 @@ func (c *Coordinator) runParallel(until float64, workers int) {
 			end = until
 		}
 		c.deliver(end)
+		c.end.Store(math.Float64bits(end))
+		c.left.Store(int64(len(c.nodes)))
 		c.cursor.Store(0)
-		for w := 0; w < workers; w++ {
-			start <- end
-		}
-		for w := 0; w < workers; w++ {
-			<-done
+		c.epoch.Store(k)
+		c.advanceClaimed()
+		for polls := 0; c.left.Load() != 0; {
+			polls = backoff(polls)
 		}
 		c.route(end)
 		if end >= until {
-			break
+			return
 		}
 	}
-	close(start)
-	wg.Wait()
+}
+
+// advanceClaimed advances nodes claimed off the cursor, last index first,
+// until the cursor is exhausted, then counts them off the window's nodes
+// left. The end is loaded after each claim, not once up front: a helper
+// that found window k exhausted may claim its first node of window k+1
+// before it sees the new epoch. The end it loads was stored before the
+// reset its claim observed, and the next end cannot be stored before this
+// claim is counted off.
+func (c *Coordinator) advanceClaimed() {
+	n := int64(len(c.nodes))
+	done := int64(0)
+	for i := n - c.cursor.Add(1); i >= 0; i = n - c.cursor.Add(1) {
+		c.nodes[i].Advance(math.Float64frombits(c.end.Load()), c.inboxes[i], &c.outs[i])
+		done++
+	}
+	if done > 0 {
+		c.left.Add(-done)
+	}
+}
+
+// spinPolls is how many bare reloads a barrier waiter makes before it
+// starts yielding its P.
+const spinPolls = 128
+
+// backoff is one poll of a barrier wait: a bare reload for the first
+// spinPolls polls, a scheduler yield on every poll after that, so a waiter
+// never needs a P of its own for the goroutine it waits on to progress.
+func backoff(polls int) int {
+	if polls < spinPolls {
+		return polls + 1
+	}
+	runtime.Gosched()
+	return polls
 }
 
 // deliver copies each destination's due mailbox prefix (At <= end) into its

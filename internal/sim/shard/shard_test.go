@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -14,13 +15,17 @@ import (
 // reply to a deterministically chosen peer one lookahead later. It exercises
 // exactly the discipline plantnet's domain/core nodes use, with an
 // application log the tests can compare bit-for-bit across worker counts.
+// It also records every window end it is advanced to, so a worker that
+// advanced a node with another window's end shows in the log even when the
+// events it ran late still land in order.
 type echoNode struct {
-	id    int32
-	n     int32
-	eng   *sim.Engine
-	out   *Outbox
-	log   []string
-	emits int
+	id     int32
+	n      int32
+	eng    *sim.Engine
+	out    *Outbox
+	log    []string
+	untils []float64
+	emits  int
 }
 
 func newEchoNode(id, n int32) *echoNode {
@@ -31,6 +36,7 @@ const lookahead = 0.5
 
 func (e *echoNode) Advance(until float64, inbox []Msg, out *Outbox) {
 	e.out = out
+	e.untils = append(e.untils, until)
 	for i := range inbox {
 		m := inbox[i] // copy: schedule captures the loop-local value
 		e.eng.At(m.At, func() {
@@ -45,14 +51,15 @@ func (e *echoNode) Advance(until float64, inbox []Msg, out *Outbox) {
 	e.eng.Run(until)
 }
 
-// seedRound emits the initial message wave before the first window, the way
-// plantnet seeds arrivals: scheduled on the engines, delivered via mailboxes.
-func seed(nodes []*echoNode, c *Coordinator) {
+// seed emits the initial message wave before the first window, the way
+// plantnet seeds arrivals: scheduled on the engines, delivered via
+// mailboxes. Each node starts three cascades of gens generations to varied
+// peers.
+func seed(nodes []*echoNode, c *Coordinator, gens int32) {
 	for _, nd := range nodes {
-		// Each node starts three generations-of-8 cascades to varied peers.
 		for k := int32(1); k <= 3; k++ {
 			c.pending[(nd.id+k)%nd.n] = append(c.pending[(nd.id+k)%nd.n],
-				Msg{At: float64(k) * 0.6, Src: nd.id, Dst: (nd.id + k) % nd.n, Seq: int64(k), Kind: 8, Ref: k})
+				Msg{At: float64(k) * 0.6, Src: nd.id, Dst: (nd.id + k) % nd.n, Seq: int64(k), Kind: gens, Ref: k})
 		}
 	}
 	for i := range c.pending {
@@ -65,23 +72,38 @@ func seed(nodes []*echoNode, c *Coordinator) {
 	}
 }
 
-func runEcho(t *testing.T, nNodes, workers int) []string {
-	t.Helper()
-	nodes := make([]*echoNode, nNodes)
-	ifaces := make([]Node, nNodes)
+// echoRun is one echo experiment: nNodes nodes, windows of the given width
+// up to until, cascades of gens generations.
+type echoRun struct {
+	nNodes        int
+	window, until float64
+	gens          int32
+}
+
+// log runs the experiment through run (Run or runParallel) at the given
+// worker count and returns every node's log.
+func (r echoRun) log(run func(*Coordinator, float64, int), workers int) []string {
+	nodes := make([]*echoNode, r.nNodes)
+	ifaces := make([]Node, r.nNodes)
 	for i := range nodes {
-		nodes[i] = newEchoNode(int32(i), int32(nNodes))
+		nodes[i] = newEchoNode(int32(i), int32(r.nNodes))
 		ifaces[i] = nodes[i]
 	}
-	c := NewCoordinator(ifaces, lookahead)
-	seed(nodes, c)
-	c.Run(40, workers)
+	c := NewCoordinator(ifaces, r.window)
+	seed(nodes, c, r.gens)
+	run(c, r.until, workers)
 	var all []string
 	for _, nd := range nodes {
 		all = append(all, fmt.Sprintf("-- node %d --", nd.id))
 		all = append(all, nd.log...)
+		all = append(all, fmt.Sprint("untils ", nd.untils))
 	}
 	return all
+}
+
+func runEcho(t *testing.T, nNodes, workers int) []string {
+	t.Helper()
+	return echoRun{nNodes: nNodes, window: lookahead, until: 40, gens: 8}.log((*Coordinator).Run, workers)
 }
 
 // TestShardWorkerCountInvariance is the core determinism contract: the full
@@ -97,6 +119,32 @@ func TestShardWorkerCountInvariance(t *testing.T) {
 		if strings.Join(got, "\n") != strings.Join(ref, "\n") {
 			t.Errorf("workers=%d diverged from inline run", w)
 		}
+	}
+}
+
+// TestShardBarrierStress runs 12,000 short windows, with cascades alive
+// across all of them, through the parallel barrier at several worker counts
+// and GOMAXPROCS settings, including more workers than Ps. It calls
+// runParallel directly, since Run caps the workers at GOMAXPROCS: workers
+// sharing one P is what a user's run meets when other goroutines hold the
+// remaining Ps, and a barrier that needs a P per worker to make progress
+// hangs or crawls here instead. Every run must equal the inline run byte
+// for byte, the window ends each node was advanced to included: a helper
+// that finished window k and then claimed a node of window k+1 must advance
+// it with window k+1's end.
+func TestShardBarrierStress(t *testing.T) {
+	r := echoRun{nNodes: 9, window: 0.005, until: 60, gens: 115}
+	ref := strings.Join(r.log((*Coordinator).Run, 1), "\n")
+	for _, procs := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			for _, w := range []int{2, 3, 8} {
+				got := strings.Join(r.log((*Coordinator).runParallel, w), "\n")
+				if got != ref {
+					t.Errorf("workers=%d diverged from inline run", w)
+				}
+			}
+		})
 	}
 }
 
@@ -196,9 +244,9 @@ func (cn *countNode) Advance(until float64, inbox []Msg, out *Outbox) {
 
 // TestZeroAllocShardWindows proves the steady-state window loop — delivery,
 // advance, routing, pending insertion — allocates nothing once the mailbox
-// buffers are warm. Goroutine spawn costs are per-Run, not per-window, so
-// the gate drives the inline path and separately bounds the parallel path's
-// per-Run overhead as window-count-independent.
+// buffers are warm. The parallel path's helper spawn is per-Run, not
+// per-window, so the gate drives the inline path and separately bounds the
+// parallel path's per-Run overhead as window-count-independent.
 func TestZeroAllocShardWindows(t *testing.T) {
 	a := &countNode{id: 0, eng: sim.NewEngine()}
 	b := &countNode{id: 1, eng: sim.NewEngine()}
@@ -216,15 +264,18 @@ func TestZeroAllocShardWindows(t *testing.T) {
 		t.Errorf("steady-state inline window loop allocates %v/run, want 0", allocs)
 	}
 
-	// Parallel: per-Run setup may allocate (worker goroutines, channels) but
-	// windows must not — a 10x longer run may not allocate meaningfully more.
+	// Parallel: per-Run setup may allocate (the helper goroutine and the
+	// WaitGroup it shares with the coordinator) but the atomics-only barrier
+	// must not — a 10x longer run may not allocate meaningfully more. It
+	// calls runParallel directly so the check holds at GOMAXPROCS=1 too,
+	// where Run would go inline.
 	short := testing.AllocsPerRun(5, func() {
 		horizon += 10
-		c.Run(horizon, 2)
+		c.runParallel(horizon, 2)
 	})
 	long := testing.AllocsPerRun(5, func() {
 		horizon += 100
-		c.Run(horizon, 2)
+		c.runParallel(horizon, 2)
 	})
 	if long > short+8 {
 		t.Errorf("parallel window loop allocates per window: short-run=%v long-run=%v", short, long)

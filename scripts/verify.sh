@@ -10,10 +10,13 @@
 # concurrent trial executor, space transforms it exercises), and runs the
 # allocation-regression gate: the kernel's steady-state zero-alloc
 # contracts (sim/alloc_test.go) must hold, or the freelist/calendar work of
-# PR 3 has silently rotted. Last, it gates the nested bench/ module (the
-# repository benchmark), which the root-module gates above cannot see: vet,
-# the smoke test that drives every workload at a tiny size — the only
-# end-to-end run of the sharded edge-scale suite — and simlint over it.
+# PR 3 has silently rotted. A single-P gate re-runs the shard tests under
+# GOMAXPROCS=1, so a shard barrier that needs a second P to make progress
+# fails CI instead of hanging a user's run. Last, it gates the nested
+# bench/ module (the repository benchmark), which the root-module gates
+# above cannot see: vet, the smoke test that drives every workload at a
+# tiny size — the only end-to-end run of the sharded edge-scale suite —
+# and simlint over it.
 # For wall-clock trends, diff bench snapshots with scripts/bench_compare.sh
 # (flags >10% ns/op or allocs/op growth between two scripts/bench.sh
 # outputs) and render the committed history with scripts/bench_report.sh.
@@ -85,6 +88,11 @@ gate chaos-race go test -race -count=1 -run 'Fault|Chaos|Resilien|Availability|F
 # sharded coordinator's steady-state window loop carries the same contract
 # (TestZeroAllocShardWindows).
 gate zero-alloc go test -run 'TestZeroAlloc' -count=1 ./internal/sim/ ./internal/sim/shard/
+# Single-P gate: the sharded tests with one P, where the barrier's helpers
+# share it with the coordinator (TestShardBarrierStress) and sharded runs
+# go inline; the timeout turns a barrier hang into a failure.
+gate single-p env GOMAXPROCS=1 go test -count=1 -timeout 120s -run Shard \
+    ./internal/sim/shard ./internal/plantnet
 # Benchmark gate: bench/ has its own go.mod, so `./...` above skips it. These
 # are the gate commands bench/README.md gives.
 bench_gate() {
