@@ -29,6 +29,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -61,6 +62,11 @@ func main() {
 	if *flagPaper {
 		*flagDuration = 1380
 		*flagRepeat = 7
+	}
+	// A NaN or infinite horizon never ends a simulation run.
+	if math.IsNaN(*flagDuration) || math.IsInf(*flagDuration, 0) {
+		fmt.Fprintf(os.Stderr, "-duration must be finite, got %v\n", *flagDuration)
+		os.Exit(2)
 	}
 	cmd := flag.Arg(0)
 	if cmd == "" {

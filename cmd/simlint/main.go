@@ -1,9 +1,9 @@
 // Command simlint runs the repository's static-analysis suite
 // (internal/lint): the determinism, RNG-discipline (seeding and
 // cross-goroutine stream sharing), zero-alloc (per function and closed
-// over the static call graph), kernel-synchronization, checkpoint-schema,
-// goroutine-spawn, and directive-hygiene / stale-suppression contracts
-// that back the ROADMAP standing invariants.
+// over the static call graph), kernel-synchronization, goroutine-spawn,
+// and directive-hygiene / stale-suppression contracts that back the
+// ROADMAP standing invariants.
 //
 // Usage:
 //

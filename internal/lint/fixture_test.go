@@ -127,7 +127,6 @@ func TestGoroutineFixture(t *testing.T)  { runFixture(t, "goroutine", fixtureOpt
 func TestDirectiveFixture(t *testing.T)  { runFixture(t, "directive", fixtureOpts{det: true}) }
 func TestRNGShareFixture(t *testing.T)   { runFixture(t, "rngshare", fixtureOpts{det: true}) }
 func TestKernelSyncFixture(t *testing.T) { runFixture(t, "kernelsync", fixtureOpts{kernel: true}) }
-func TestSchemaFixture(t *testing.T)     { runFixture(t, "schema", fixtureOpts{}) }
 func TestStaleFixture(t *testing.T)      { runFixture(t, "stalesuppress", fixtureOpts{det: true}) }
 
 // TestNoAllocFixture and TestNoAllocClosureFixture shell out to go tool

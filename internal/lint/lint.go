@@ -48,10 +48,6 @@
 //     (sync.Mutex, sync/atomic, channel operations, select, time.Sleep)
 //     inside the kernel packages (KernelPackages): virtual time must never
 //     block on the Go runtime.
-//   - schema:     the declared checkpoint layout (`checkpointLayout`) is
-//     cross-checked against the Result struct, the encode/decode
-//     functions, and the render tables, so a field added in one layer but
-//     not the others is a build error instead of a silent drift.
 //   - stalesuppress: a //simlint:allow that suppresses nothing, a
 //     //simlint:ordered on a function that spawns nothing, or a dead
 //     //simlint:noalloc (no body, or duplicated) is itself a finding —
@@ -104,7 +100,6 @@ var KnownChecks = map[string]bool{
 	"noallocclosure": true,
 	"rngshare":       true,
 	"kernelsync":     true,
-	"schema":         true,
 	"stalesuppress":  true,
 }
 
@@ -205,8 +200,6 @@ func (c *Config) ran(check string, pkg *Package) bool {
 		return pkg.Kernel
 	case "noalloc", "noallocclosure":
 		return !c.SkipNoAlloc
-	case "schema":
-		return findSchemaLayout(pkg) != nil
 	case "stalesuppress":
 		return false // never suppressible, so an allow for it never fires
 	}
@@ -253,9 +246,6 @@ func AnalyzePackage(prog *Program, pkg *Package, cfg *Config) []Diagnostic {
 	}
 	if cfg.enabled("kernelsync") && pkg.Kernel {
 		diags = append(diags, checkKernelSync(prog, pkg)...)
-	}
-	if cfg.enabled("schema") {
-		diags = append(diags, checkSchema(prog, pkg)...)
 	}
 	if (cfg.enabled("noalloc") || cfg.enabled("noallocclosure")) && !cfg.SkipNoAlloc {
 		nd, facts, err := checkNoAlloc(prog, pkg, dirs)

@@ -1,155 +1,87 @@
 package scenario
 
-import "e2clab/internal/tune"
+import (
+	"fmt"
+	"reflect"
 
-// checkpointField is one ordered slot of the Result checkpoint layout: the
-// Result field it carries (Name is the exact selector path, verified
-// against the get/set bodies by the simlint schema analyzer) and the
-// accessors encode/decode use. The layout is the single source of truth
-// for the checkpoint wire format — its length replaces the old magic
-// report count, and its order IS the on-disk order, so reordering or
-// removing an entry invalidates every existing checkpoint (decode rejects
-// the stale length/shape and the suite re-runs the scenario).
-type checkpointField struct {
-	Name string
-	get  func(r *Result) float64
-	set  func(r *Result, v float64)
+	"e2clab/internal/tune"
+)
+
+// resultField is one numeric leaf of Result: its dotted path (e.g.
+// "EngineResp.Mean"), its reflect index path, and its kind (Int or Float64).
+type resultField struct {
+	path  string
+	index []int
+	kind  reflect.Kind
 }
 
-// checkpointOmission names a Result field deliberately absent from the
-// checkpoint layout, with the reason it need not survive a resume. The
-// schema analyzer requires every Result field to appear in exactly one of
-// checkpointLayout and checkpointOmitted, so a new counter cannot be
-// forgotten silently.
-type checkpointOmission struct {
-	Field  string
-	Reason string
-}
+// resultLayout is the checkpoint wire format: every int and float64 field of
+// Result in declaration order, nested structs flattened. It is derived, not
+// declared, so a new numeric field is carried without further edits; the
+// paths are hashed into the fingerprint, so adding, removing or reordering a
+// field makes older checkpoint trials re-run instead of mis-decoding.
+// Strings (Name, NetModel) derive from the spec and are restored from it on
+// resume; any other field kind panics here, at package initialisation.
+var resultLayout = walkResult(reflect.TypeOf(Result{}), nil, "")
 
-// checkpointLayout is the ordered Result checkpoint schema. Appending a
-// field grows the layout (old checkpoints are rejected as stale by the
-// length check in decodeResult and re-run); the simlint schema analyzer
-// cross-checks the layout against the Result struct and the render tables,
-// so a field added in one place but not the others is a lint failure, not
-// a silent drift.
-var checkpointLayout = []checkpointField{
-	{"Gateways",
-		func(r *Result) float64 { return float64(r.Gateways) },
-		func(r *Result, v float64) { r.Gateways = int(v) }},
-	{"Clients",
-		func(r *Result) float64 { return float64(r.Clients) },
-		func(r *Result, v float64) { r.Clients = int(v) }},
-	{"Phases",
-		func(r *Result) float64 { return float64(r.Phases) },
-		func(r *Result, v float64) { r.Phases = int(v) }},
-	{"EngineResp.N",
-		func(r *Result) float64 { return float64(r.EngineResp.N) },
-		func(r *Result, v float64) { r.EngineResp.N = int(v) }},
-	{"EngineResp.Mean",
-		func(r *Result) float64 { return r.EngineResp.Mean },
-		func(r *Result, v float64) { r.EngineResp.Mean = v }},
-	{"EngineResp.StdDev",
-		func(r *Result) float64 { return r.EngineResp.StdDev },
-		func(r *Result, v float64) { r.EngineResp.StdDev = v }},
-	{"EngineResp.Min",
-		func(r *Result) float64 { return r.EngineResp.Min },
-		func(r *Result, v float64) { r.EngineResp.Min = v }},
-	{"EngineResp.Max",
-		func(r *Result) float64 { return r.EngineResp.Max },
-		func(r *Result, v float64) { r.EngineResp.Max = v }},
-	{"NetOverheadSec",
-		func(r *Result) float64 { return r.NetOverheadSec },
-		func(r *Result, v float64) { r.NetOverheadSec = v }},
-	{"RespMean",
-		func(r *Result) float64 { return r.RespMean },
-		func(r *Result, v float64) { r.RespMean = v }},
-	{"RespP95",
-		func(r *Result) float64 { return r.RespP95 },
-		func(r *Result, v float64) { r.RespP95 = v }},
-	{"Throughput",
-		func(r *Result) float64 { return r.Throughput },
-		func(r *Result, v float64) { r.Throughput = v }},
-	{"Completed",
-		func(r *Result) float64 { return float64(r.Completed) },
-		func(r *Result, v float64) { r.Completed = int(v) }},
-	{"FaultGatewayFailures",
-		func(r *Result) float64 { return float64(r.FaultGatewayFailures) },
-		func(r *Result, v float64) { r.FaultGatewayFailures = int(v) }},
-	{"FaultCrashRequeues",
-		func(r *Result) float64 { return float64(r.FaultCrashRequeues) },
-		func(r *Result, v float64) { r.FaultCrashRequeues = int(v) }},
-	{"FaultCrashFailures",
-		func(r *Result) float64 { return float64(r.FaultCrashFailures) },
-		func(r *Result, v float64) { r.FaultCrashFailures = int(v) }},
-	{"FaultDropped",
-		func(r *Result) float64 { return float64(r.FaultDropped) },
-		func(r *Result, v float64) { r.FaultDropped = int(v) }},
-	{"Failed",
-		func(r *Result) float64 { return float64(r.Failed) },
-		func(r *Result, v float64) { r.Failed = int(v) }},
-	{"Retries",
-		func(r *Result) float64 { return float64(r.Retries) },
-		func(r *Result, v float64) { r.Retries = int(v) }},
-	{"RetrySuccesses",
-		func(r *Result) float64 { return float64(r.RetrySuccesses) },
-		func(r *Result, v float64) { r.RetrySuccesses = int(v) }},
-	{"Hedges",
-		func(r *Result) float64 { return float64(r.Hedges) },
-		func(r *Result, v float64) { r.Hedges = int(v) }},
-	{"HedgeWins",
-		func(r *Result) float64 { return float64(r.HedgeWins) },
-		func(r *Result, v float64) { r.HedgeWins = int(v) }},
-	{"Rerouted",
-		func(r *Result) float64 { return float64(r.Rerouted) },
-		func(r *Result, v float64) { r.Rerouted = int(v) }},
-	{"Shed",
-		func(r *Result) float64 { return float64(r.Shed) },
-		func(r *Result, v float64) { r.Shed = int(v) }},
-	{"BreakerOpens",
-		func(r *Result) float64 { return float64(r.BreakerOpens) },
-		func(r *Result, v float64) { r.BreakerOpens = int(v) }},
-	{"DeadlineExceeded",
-		func(r *Result) float64 { return float64(r.DeadlineExceeded) },
-		func(r *Result, v float64) { r.DeadlineExceeded = int(v) }},
-	{"Goodput",
-		func(r *Result) float64 { return r.Goodput },
-		func(r *Result, v float64) { r.Goodput = v }},
-	{"Availability",
-		func(r *Result) float64 { return r.Availability },
-		func(r *Result, v float64) { r.Availability = v }},
-}
-
-// checkpointOmitted declares the Result fields the checkpoint does not
-// carry. Every entry must name a real field that is not in the layout.
-var checkpointOmitted = []checkpointOmission{
-	{"Index", "assigned by the suite runner from the trial slot at decode"},
-	{"Name", "non-numeric; restored from the scenario spec at decode"},
-	{"NetModel", "derived from the spec; the checkpoint fingerprint pins the spec"},
-}
-
-// encodeResult flattens a Result into checkpoint reports (all finite) in
-// checkpointLayout order.
-func encodeResult(r *Result) []tune.Report {
-	out := make([]tune.Report, len(checkpointLayout))
-	for i, f := range checkpointLayout {
-		out[i] = tune.Report{Iteration: i, Value: f.get(r)}
+func walkResult(t reflect.Type, index []int, prefix string) []resultField {
+	var out []resultField
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		idx := append(append([]int(nil), index...), i)
+		path := prefix + f.Name
+		switch k := f.Type.Kind(); k {
+		case reflect.Int, reflect.Float64:
+			out = append(out, resultField{path, idx, k})
+		case reflect.String:
+			// Restored from the spec on resume.
+		case reflect.Struct:
+			out = append(out, walkResult(f.Type, idx, path+".")...)
+		default:
+			panic(fmt.Sprintf("scenario: Result field %s has kind %s, which the checkpoint cannot carry", path, k))
+		}
 	}
 	return out
 }
 
-// decodeResult rebuilds a Result from checkpoint reports; ok is false when
-// the reports do not carry the layout's exact shape (stale checkpoint
-// format — e.g. written before a layout field was added or removed).
-func decodeResult(index int, name string, reports []tune.Report) (*Result, bool) {
-	if len(reports) != len(checkpointLayout) {
+// encodeResult flattens a Result into checkpoint reports (all finite) in
+// resultLayout order.
+func encodeResult(r *Result) []tune.Report {
+	v := reflect.ValueOf(r).Elem()
+	out := make([]tune.Report, len(resultLayout))
+	for i, f := range resultLayout {
+		fv := v.FieldByIndex(f.index)
+		var x float64
+		if f.kind == reflect.Float64 {
+			x = fv.Float()
+		} else {
+			x = float64(fv.Int())
+		}
+		out[i] = tune.Report{Iteration: i, Value: x}
+	}
+	return out
+}
+
+// decodeResult rebuilds the numeric fields of a Result from checkpoint
+// reports; ok is false when the reports do not carry resultLayout's exact
+// shape (a stale checkpoint, written before a field was added or removed).
+// The string fields are left for the caller to restore from the spec.
+func decodeResult(reports []tune.Report) (*Result, bool) {
+	if len(reports) != len(resultLayout) {
 		return nil, false
 	}
-	r := &Result{Index: index, Name: name}
+	r := &Result{}
+	v := reflect.ValueOf(r).Elem()
 	for i, rep := range reports {
 		if rep.Iteration != i {
 			return nil, false
 		}
-		checkpointLayout[i].set(r, rep.Value)
+		f := resultLayout[i]
+		if f.kind == reflect.Float64 {
+			v.FieldByIndex(f.index).SetFloat(rep.Value)
+		} else {
+			v.FieldByIndex(f.index).SetInt(int64(rep.Value))
+		}
 	}
 	return r, true
 }

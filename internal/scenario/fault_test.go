@@ -3,7 +3,6 @@ package scenario
 import (
 	"math"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"e2clab/internal/fault"
@@ -90,7 +89,7 @@ func TestFaultSweepSuiteParallelDeterminism(t *testing.T) {
 	seq := mustRun(t, s, Options{Parallel: 1})
 	par := mustRun(t, s, Options{Parallel: 4})
 	for i := range seq.Results {
-		if !reflect.DeepEqual(bits(seq.Results[i]), bits(par.Results[i])) {
+		if dump(seq.Results[i]) != dump(par.Results[i]) {
 			t.Errorf("scenario %d (%s): parallel faulted result differs from sequential",
 				i, seq.Results[i].Name)
 		}

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"math"
-	"reflect"
 	"testing"
 
 	"e2clab/internal/fault"
@@ -77,7 +76,7 @@ func TestResilienceSweepSuiteParallelDeterminism(t *testing.T) {
 	seq := mustRun(t, s, Options{Parallel: 1})
 	par := mustRun(t, s, Options{Parallel: 4})
 	for i := range seq.Results {
-		if !reflect.DeepEqual(bits(seq.Results[i]), bits(par.Results[i])) {
+		if dump(seq.Results[i]) != dump(par.Results[i]) {
 			t.Errorf("scenario %d (%s): parallel policied result differs from sequential",
 				i, seq.Results[i].Name)
 		}
@@ -178,7 +177,7 @@ func TestPhasedFaultTimelineIsContinuous(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(bits(r), bits(r2)) {
+	if dump(r) != dump(r2) {
 		t.Error("phased-faulted run is not deterministic")
 	}
 }

@@ -23,6 +23,7 @@
 package scenario
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 
@@ -180,6 +181,12 @@ func (s Scenario) withDefaults() Scenario {
 func (s Scenario) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("scenario: needs a name")
+	}
+	// A NaN or infinite duration never ends a run, a non-finite delay or
+	// rate is meaningless, and neither can be fingerprinted: json.Marshal
+	// rejects exactly the non-finite numbers.
+	if _, err := json.Marshal(s); err != nil {
+		return fmt.Errorf("scenario %q: every number in the spec must be finite: %w", s.Name, err)
 	}
 	d := s.withDefaults()
 	if d.EngineLayer != "cloud" && d.EngineLayer != "fog" {
@@ -469,7 +476,8 @@ func (s Scenario) NetworkOverheadSeconds() float64 {
 // Result is one executed scenario's aggregate, the row unit of the
 // cross-scenario comparison tables. Every field is finite (unreachable or
 // sample-free scenarios fail with an error instead), so Results round-trip
-// bit-exactly through the JSON checkpoint.
+// bit-exactly through the JSON checkpoint. Fields may only be ints, float64s,
+// strings derived from the spec, or structs of those (see resultLayout).
 type Result struct {
 	Index    int    `json:"index"`
 	Name     string `json:"name"`
@@ -477,8 +485,9 @@ type Result struct {
 	Clients  int    `json:"clients"`
 	Phases   int    `json:"phases"`
 	// NetModel is the resolved network model the scenario ran under
-	// ("analytical" or "simulated"); it is derived from the spec, not
-	// stored in checkpoints (the fingerprint pins the spec).
+	// ("analytical", "simulated" or "packet"); like Name it is derived
+	// from the spec, not stored in checkpoints (the fingerprint pins the
+	// spec).
 	NetModel string `json:"net_model,omitempty"`
 
 	// EngineResp pools every post-warmup response-time sample across
@@ -539,10 +548,10 @@ func (s Scenario) Run(seed int64, repeatParallelism int) (*Result, error) {
 	if repeatParallelism <= 0 {
 		repeatParallelism = 1
 	}
-	d := s.withDefaults()
-	if err := d.Validate(); err != nil {
+	if err := s.Validate(); err != nil {
 		return nil, err
 	}
+	d := s.withDefaults()
 	// The closed-form path cost: the response-time addend in analytical
 	// mode, a reported reference in simulated mode — and, in both, the
 	// reachability gate (+Inf means some class's path composes to total

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"path/filepath"
-	"reflect"
 	"testing"
 )
 
@@ -41,7 +40,7 @@ func TestShardedScenarioWorkerCountInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(bits(ref), bits(r)) {
+		if dump(ref) != dump(r) {
 			t.Errorf("Shards=%d scenario result diverged from Shards=2", shards)
 		}
 	}
@@ -64,8 +63,11 @@ func TestShardedScenarioNormalization(t *testing.T) {
 	}
 	plain := shardedScenario()
 	plain.Shards = 0
-	hi1, lo1 := fingerprint(one.withDefaults(), 5)
-	hi2, lo2 := fingerprint(plain.withDefaults(), 5)
+	hi1, lo1, err1 := fingerprint(one.withDefaults(), 5)
+	hi2, lo2, err2 := fingerprint(plain.withDefaults(), 5)
+	if err1 != nil || err2 != nil {
+		t.Fatal(err1, err2)
+	}
 	if hi1 != hi2 || lo1 != lo2 {
 		t.Error("Shards=1 fingerprints differently from the sequential spec")
 	}
@@ -91,7 +93,7 @@ func TestShardedSuiteCheckpointSemantics(t *testing.T) {
 	if sr.Resumed != 1 || sr.Executed != 0 {
 		t.Errorf("worker-count change: executed=%d resumed=%d, want pure resume", sr.Executed, sr.Resumed)
 	}
-	if !reflect.DeepEqual(bits(first.Results[0]), bits(sr.Results[0])) {
+	if dump(first.Results[0]) != dump(sr.Results[0]) {
 		t.Error("resumed result differs from the original run")
 	}
 	// Family switch to sequential: different deterministic family — re-run.

@@ -79,10 +79,10 @@ func (s Suite) resolved() ([]Scenario, error) {
 		if sc.Shards == 0 {
 			sc.Shards = s.Shards
 		}
-		sc = sc.withDefaults()
 		if err := sc.Validate(); err != nil {
 			return nil, err
 		}
+		sc = sc.withDefaults()
 		if seen[sc.Name] {
 			return nil, fmt.Errorf("scenario: suite %q has duplicate scenario name %q", s.Name, sc.Name)
 		}
@@ -141,9 +141,11 @@ type SuiteResult struct {
 const suiteMetric = "user_resp_time"
 
 // fingerprint identifies a (scenario, derived seed) pair in the checkpoint
-// so resume only trusts trials whose spec, protocol, and seed all match.
-// The two halves are stored as exact small integers in Trial.Config.
-func fingerprint(sc Scenario, seed int64) (hi, lo float64) {
+// so resume only trusts trials whose spec, protocol, seed and Result layout
+// all match. The two halves are stored as exact small integers in
+// Trial.Config. The error is json.Marshal's: a spec holding a non-finite
+// number, which Validate rejects first.
+func fingerprint(sc Scenario, seed int64) (hi, lo float64, err error) {
 	// The sharded kernel is worker-count invariant (bit-identical results
 	// for any Shards >= 2), so the fingerprint collapses the count to its
 	// canonical 2: retuning parallelism never invalidates a checkpoint,
@@ -152,12 +154,18 @@ func fingerprint(sc Scenario, seed int64) (hi, lo float64) {
 	if sc.Shards > 2 {
 		sc.Shards = 2
 	}
+	b, err := json.Marshal(sc)
+	if err != nil {
+		return 0, 0, fmt.Errorf("scenario %q: fingerprint: %w", sc.Name, err)
+	}
 	h := fnv.New64a()
-	b, _ := json.Marshal(sc)
 	h.Write(b)
 	fmt.Fprintf(h, "|seed=%d", seed)
+	for _, f := range resultLayout {
+		fmt.Fprintf(h, "|%s:%s", f.path, f.kind)
+	}
 	sum := h.Sum64()
-	return float64(sum >> 32), float64(sum & 0xffffffff)
+	return float64(sum >> 32), float64(sum & 0xffffffff), nil
 }
 
 // RunSuite executes every scenario of the suite on a bounded worker pool
@@ -182,7 +190,9 @@ func RunSuite(s Suite, opts Options) (*SuiteResult, error) {
 	fpLo := make([]float64, n)
 	for i := range seeds {
 		seeds[i] = seeder.Next()
-		fpHi[i], fpLo[i] = fingerprint(scenarios[i], seeds[i])
+		if fpHi[i], fpLo[i], err = fingerprint(scenarios[i], seeds[i]); err != nil {
+			return nil, err
+		}
 	}
 
 	results := make([]*Result, n)
@@ -203,10 +213,10 @@ func RunSuite(s Suite, opts Options) (*SuiteResult, error) {
 					t.Config[1] != fpHi[i] || t.Config[2] != fpLo[i] {
 					continue
 				}
-				if r, ok := decodeResult(i, scenarios[i].Name, t.Reports); ok {
-					// NetModel is derived, not checkpointed: the
-					// fingerprint guarantees the spec (and therefore the
-					// model) is unchanged.
+				if r, ok := decodeResult(t.Reports); ok && r.Index == i {
+					// The strings are not checkpointed: the fingerprint
+					// guarantees the spec they derive from is unchanged.
+					r.Name = scenarios[i].Name
 					r.NetModel = scenarios[i].networkModelName()
 					results[i] = r
 					resumed++

@@ -2,10 +2,10 @@ package scenario
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"e2clab/internal/config"
@@ -46,25 +46,10 @@ func testSuite() Suite {
 	}
 }
 
-// bits flattens a Result into raw float bits plus ints for bit-exact
-// comparison.
-func bits(r *Result) []uint64 {
-	return []uint64{
-		uint64(r.Gateways), uint64(r.Clients), uint64(r.Phases),
-		uint64(r.EngineResp.N),
-		math.Float64bits(r.EngineResp.Mean), math.Float64bits(r.EngineResp.StdDev),
-		math.Float64bits(r.EngineResp.Min), math.Float64bits(r.EngineResp.Max),
-		math.Float64bits(r.NetOverheadSec), math.Float64bits(r.RespMean),
-		math.Float64bits(r.RespP95), math.Float64bits(r.Throughput),
-		uint64(r.Completed),
-		uint64(r.FaultGatewayFailures), uint64(r.FaultCrashRequeues),
-		uint64(r.FaultCrashFailures), uint64(r.FaultDropped),
-		uint64(r.Failed), uint64(r.Retries), uint64(r.RetrySuccesses),
-		uint64(r.Hedges), uint64(r.HedgeWins), uint64(r.Rerouted),
-		uint64(r.Shed), uint64(r.BreakerOpens), uint64(r.DeadlineExceeded),
-		math.Float64bits(r.Goodput), math.Float64bits(r.Availability),
-	}
-}
+// dump renders every Result field, floats in their shortest exact form,
+// for whole-Result comparison. It is deliberately independent of the
+// checkpoint layout: a field the checkpoint drops fails the resume tests.
+func dump(r *Result) string { return fmt.Sprintf("%#v", *r) }
 
 func mustRun(t *testing.T, s Suite, opts Options) *SuiteResult {
 	t.Helper()
@@ -91,7 +76,7 @@ func TestSuiteParallelMatchesSequentialBitExact(t *testing.T) {
 		t.Fatalf("result counts differ: %d vs %d", len(seq.Results), len(par.Results))
 	}
 	for i := range seq.Results {
-		if !reflect.DeepEqual(bits(seq.Results[i]), bits(par.Results[i])) {
+		if dump(seq.Results[i]) != dump(par.Results[i]) {
 			t.Errorf("scenario %d (%s): parallel result differs from sequential\nseq: %+v\npar: %+v",
 				i, seq.Results[i].Name, seq.Results[i], par.Results[i])
 		}
@@ -139,7 +124,7 @@ func TestSuiteInterruptResumeSkipsCompleted(t *testing.T) {
 		t.Errorf("re-ran %d scenarios, want %d (completed ones must not re-run)", resumed.Executed, want)
 	}
 	for i := range ref.Results {
-		if !reflect.DeepEqual(bits(ref.Results[i]), bits(resumed.Results[i])) {
+		if dump(ref.Results[i]) != dump(resumed.Results[i]) {
 			t.Errorf("scenario %d (%s): resumed result differs from uninterrupted run",
 				i, ref.Results[i].Name)
 		}
@@ -179,7 +164,7 @@ func TestSuiteInterruptBoundHoldsUnderParallelPool(t *testing.T) {
 		t.Errorf("resume executed=%d resumed=%d", resumed.Executed, resumed.Resumed)
 	}
 	for i := range ref.Results {
-		if !reflect.DeepEqual(bits(ref.Results[i]), bits(resumed.Results[i])) {
+		if dump(ref.Results[i]) != dump(resumed.Results[i]) {
 			t.Errorf("scenario %d: parallel resumed result differs from sequential uninterrupted run", i)
 		}
 	}
@@ -239,6 +224,37 @@ func TestSuiteUnreachableScenarioFails(t *testing.T) {
 	out := ComparisonTable(sr).String()
 	if out == "" {
 		t.Error("comparison table empty")
+	}
+}
+
+// TestNonFiniteDurationRejected: a NaN or infinite duration used to pass
+// Validate and then spin forever in the event loop; it must fail
+// validation (checked here without running anything).
+func TestNonFiniteDurationRejected(t *testing.T) {
+	for _, d := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		sc := Scenario{Name: "x", Gateways: []GatewayClass{{Name: "g", Count: 2}}, DurationSeconds: d}
+		if err := sc.Validate(); err == nil {
+			t.Errorf("duration %v: Validate accepted it", d)
+		}
+		sc.DurationSeconds = 0
+		s := Suite{Name: "s", DurationSeconds: d, Scenarios: []Scenario{sc}}
+		if _, err := s.resolved(); err == nil {
+			t.Errorf("suite duration %v: resolved accepted it", d)
+		}
+	}
+}
+
+// TestNonFiniteSpecRejected: a spec holding a NaN cannot be fingerprinted
+// (json.Marshal refuses it), so it must not run: before, every such spec
+// hashed to the seed alone and a resumed campaign could trust a stale trial.
+func TestNonFiniteSpecRejected(t *testing.T) {
+	sc := Scenario{Name: "nan-delay", Gateways: []GatewayClass{{Name: "g", Count: 2, DelayMS: math.NaN()}}}
+	s := Suite{Name: "nan", Seed: 1, DurationSeconds: 60, Scenarios: []Scenario{sc}}
+	if _, err := RunSuite(s, Options{Parallel: 1}); err == nil {
+		t.Error("RunSuite accepted a NaN gateway delay")
+	}
+	if _, _, err := fingerprint(sc, 1); err == nil {
+		t.Error("fingerprint hashed a NaN spec")
 	}
 }
 

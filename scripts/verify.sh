@@ -1,16 +1,16 @@
 #!/usr/bin/env bash
 # verify.sh — the tier-1 verification recipe (see ROADMAP.md). Beyond the
-# build and full test suite, it vets the tree, runs simlint (the custom
-# static-analysis gate machine-enforcing the determinism / RNG-discipline /
-# zero-alloc / kernel-synchronization / checkpoint-schema standing
-# invariants), race-checks the packages with goroutine-parallel paths
-# (surrogate worker pool, bo batch scoring, plantnet repeated-run pool —
-# including the simulated-network link, fault-schedule, resilience-policy,
-# and piecewise-arrival code it drives — scenario suite runner, tune's
-# concurrent trial executor, space transforms it exercises), and runs the
-# allocation-regression gate: the kernel's steady-state zero-alloc
-# contracts (sim/alloc_test.go) must hold, or the freelist/calendar work of
-# PR 3 has silently rotted. A single-P gate re-runs the shard tests under
+# build and full test suite, it checks formatting (gofmt) and that go.mod
+# is tidy, vets the tree, runs simlint (the custom static-analysis gate
+# machine-enforcing the determinism / RNG-discipline / zero-alloc /
+# kernel-synchronization standing invariants), race-checks the packages
+# with goroutine-parallel paths (surrogate worker pool, bo batch scoring,
+# plantnet repeated-run pool — including the simulated-network link,
+# fault-schedule, resilience-policy, and piecewise-arrival code it drives —
+# scenario suite runner, tune's concurrent trial executor, space
+# transforms it exercises), and runs the allocation-regression gate: the
+# kernel's steady-state zero-alloc contracts (sim/alloc_test.go) must
+# hold, or the freelist/calendar work of PR 3 has silently rotted. A single-P gate re-runs the shard tests under
 # GOMAXPROCS=1, so a shard barrier that needs a second P to make progress
 # fails CI instead of hanging a user's run. Last, it gates the nested
 # bench/ module (the repository benchmark), which the root-module gates
@@ -72,6 +72,20 @@ race_pkgs=(
     ./internal/space/...
 )
 
+# Formatting gate: gofmt -l lists unformatted files and exits 0, so any
+# output is the failure.
+gofmt_gate() {
+    local out
+    out=$(gofmt -l .)
+    if [ -n "$out" ]; then
+        echo "files need gofmt:" >&2
+        echo "$out" >&2
+        return 1
+    fi
+}
+
+gate gofmt gofmt_gate
+gate tidy go mod tidy -diff
 gate build go build ./...
 gate vet go vet ./...
 gate simlint simlint_gate
