@@ -1,9 +1,8 @@
 // Package repro_test is the benchmark harness that regenerates every table
-// and figure of the paper's evaluation (see DESIGN.md's per-experiment
-// index). Each benchmark runs the corresponding experiment at a reduced
-// duration and reports the headline quantity as a custom metric, so
-// `go test -bench=. -benchmem` doubles as the reproduction driver;
-// cmd/experiments prints the full tables.
+// and figure of the paper's evaluation. Each benchmark runs the
+// corresponding experiment at a reduced duration and reports the headline
+// quantity as a custom metric, so `go test -bench=. -benchmem` doubles as
+// the reproduction driver; cmd/experiments prints the full tables.
 package repro_test
 
 import (
@@ -180,9 +179,9 @@ func BenchmarkFig11AllConfigs(b *testing.B) {
 	b.ReportMetric(refinedExtract, "refined_extract")
 }
 
-// BenchmarkFig4Continuum solves the multi-objective Edge-Fog-Cloud
-// placement problem of Figure 4 (weighted-sum scalarization + Pareto
-// front), as examples/continuum does.
+// BenchmarkFig4Continuum solves the Edge-Fog-Cloud placement problem of
+// Figure 4, with latency and communication cost scalarized into one
+// objective by summing them.
 func BenchmarkFig4Continuum(b *testing.B) {
 	s := space.New(
 		space.Categorical("preprocess", "edge", "fog", "cloud"),
@@ -203,7 +202,7 @@ func BenchmarkFig4Continuum(b *testing.B) {
 	b.ReportMetric(best, "scalar_obj")
 }
 
-// --- Ablation benches (design choices called out in DESIGN.md) ---
+// --- Ablation benches (one design choice per bench) ---
 
 // BenchmarkAblationSurrogate compares surrogate families on the same
 // optimization budget over a synthetic engine-like response surface.

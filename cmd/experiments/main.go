@@ -1,7 +1,7 @@
 // Command experiments regenerates every table and figure of the paper's
 // evaluation (Section IV) from the in-repo reproduction. Each subcommand
-// prints the same rows/series the paper reports; EXPERIMENTS.md records
-// paper-vs-measured values.
+// prints the same rows/series the paper reports, followed by a reference
+// line with the paper's published values.
 //
 // Usage:
 //
@@ -20,10 +20,11 @@
 // bit-identical at any -parallel level, and with -checkpoint an
 // interrupted campaign resumes without re-running completed scenarios
 // (changing a scenario's fault schedule invalidates its checkpoint entry).
-// Use -suite to run a declarative JSON suite (see examples/suite) instead
-// of the built-in standard campaign, and -netmodel simulated (or packet)
-// to fold the network path into the event kernel (per-hop links, gateway
-// queueing) instead of the closed-form netem cost.
+// Use -suite to run a declarative JSON suite (see
+// examples/suite/suite.json) instead of the built-in standard campaign,
+// and -netmodel simulated (or packet) to fold the network path into the
+// event kernel (per-hop links, gateway queueing) instead of the
+// closed-form netem cost.
 package main
 
 import (
@@ -63,9 +64,8 @@ func main() {
 		*flagDuration = 1380
 		*flagRepeat = 7
 	}
-	// A NaN or infinite horizon never ends a simulation run.
-	if math.IsNaN(*flagDuration) || math.IsInf(*flagDuration, 0) {
-		fmt.Fprintf(os.Stderr, "-duration must be finite, got %v\n", *flagDuration)
+	if err := checkProtocol(*flagDuration, *flagRepeat); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	cmd := flag.Arg(0)
@@ -103,6 +103,20 @@ func main() {
 		os.Exit(2)
 	}
 	run(cmd)
+}
+
+// checkProtocol rejects protocol flags the engine would not honour. A NaN
+// or infinite horizon never ends a simulation run, a non-positive one would
+// be replaced by the paper's 1380 s horizon, and fewer than one repetition
+// would be run as one.
+func checkProtocol(duration float64, repeat int) error {
+	if math.IsNaN(duration) || math.IsInf(duration, 0) || duration <= 0 {
+		return fmt.Errorf("-duration must be finite and positive, got %v", duration)
+	}
+	if repeat < 1 {
+		return fmt.Errorf("-repeat must be at least 1, got %d", repeat)
+	}
+	return nil
 }
 
 // measure runs one configuration under one workload with the shared
@@ -274,7 +288,7 @@ func fig10() error {
 			fmt.Sprintf("%.0f%%", m.SimsearchBusy.Mean*100), fmt.Sprintf("%.0f%%", m.ExtractBusy.Mean*100))
 	}
 	fmt.Print(t.String())
-	fmt.Println("paper reference: 55 threads ~4% below 53; our model is flat here (see EXPERIMENTS.md)")
+	fmt.Println("paper reference: 55 threads ~4% below 53; our model is flat here")
 	return maybeCSV(t, "fig10")
 }
 

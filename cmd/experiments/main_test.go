@@ -1,0 +1,28 @@
+package main
+
+import (
+	"math"
+	"testing"
+)
+
+func TestCheckProtocol(t *testing.T) {
+	if err := checkProtocol(300, 2); err != nil {
+		t.Errorf("default protocol rejected: %v", err)
+	}
+	bad := []struct {
+		duration float64
+		repeat   int
+	}{
+		{0, 2},
+		{-5, 2},
+		{math.NaN(), 2},
+		{math.Inf(1), 2},
+		{300, 0},
+		{300, -1},
+	}
+	for _, c := range bad {
+		if err := checkProtocol(c.duration, c.repeat); err == nil {
+			t.Errorf("checkProtocol(%v, %d) accepted", c.duration, c.repeat)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"e2clab/internal/netem"
@@ -209,10 +210,17 @@ func TestManagerValidation(t *testing.T) {
 	if _, err := NewManager(Spec{}); err == nil {
 		t.Error("nil problem accepted")
 	}
+	// A structurally valid two-objective problem is refused by the
+	// single-objective Manager, with an error that says how to proceed.
 	multi := &space.Problem{Name: "m", Space: space.New(space.Float("x", 0, 1)),
-		Objectives: []space.Objective{{Name: "a"}, {Name: "b"}}}
+		Objectives: []space.Objective{{Name: "latency"}, {Name: "cost"}}}
+	if err := multi.Validate(); err != nil {
+		t.Fatalf("fixture must be a valid problem: %v", err)
+	}
 	if _, err := NewManager(Spec{Problem: multi}); err == nil {
 		t.Error("multi-objective problem accepted by scalar manager")
+	} else if !strings.Contains(err.Error(), "scalarize the objectives into one metric") {
+		t.Errorf("multi-objective error does not say how to proceed: %v", err)
 	}
 	m, err := NewManager(Spec{Problem: space.PlantNetProblem(),
 		Search: SearchSpec{Algorithm: "quantum"}})
@@ -319,47 +327,6 @@ func TestEvaluationContext(t *testing.T) {
 	}
 	if sawDirs != 3 || sawRepeat != 3 {
 		t.Errorf("evaluation context incomplete: dirs=%d repeat=%d", sawDirs, sawRepeat)
-	}
-}
-
-func TestWeightedSumAndPareto(t *testing.T) {
-	f1 := func(x []float64) float64 { return x[0] }
-	f2 := func(x []float64) float64 { return 1 - x[0] }
-	ws := WeightedSum([]float64{2, 1}, f1, f2)
-	if got := ws([]float64{0.5}); math.Abs(got-(2*0.5+0.5)) > 1e-12 {
-		t.Errorf("WeightedSum = %v", got)
-	}
-	// Missing weights default to 1.
-	ws2 := WeightedSum(nil, f1, f2)
-	if got := ws2([]float64{0.3}); math.Abs(got-1) > 1e-12 {
-		t.Errorf("default weights: %v", got)
-	}
-
-	pts := [][]float64{
-		{1, 5}, // front
-		{2, 4}, // front
-		{3, 3}, // front
-		{3, 5}, // dominated by {1,5}? no: 1<=3, 5<=5, strictly better -> dominated
-		{2, 6}, // dominated by {1,5}
-	}
-	front := ParetoFront(pts)
-	want := map[int]bool{0: true, 1: true, 2: true}
-	if len(front) != 3 {
-		t.Fatalf("front = %v", front)
-	}
-	for _, i := range front {
-		if !want[i] {
-			t.Errorf("point %d should not be on the front", i)
-		}
-	}
-	if !Dominates([]float64{1, 1}, []float64{1, 2}) {
-		t.Error("domination with tie not detected")
-	}
-	if Dominates([]float64{1, 2}, []float64{2, 1}) {
-		t.Error("incomparable points reported as dominating")
-	}
-	if Dominates([]float64{1, 1}, []float64{1, 1}) {
-		t.Error("equal points reported as dominating")
 	}
 }
 

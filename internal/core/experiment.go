@@ -4,6 +4,10 @@
 // the Optimization Manager that automates the reproducible optimization
 // cycle (parallel deployment, simultaneous execution, asynchronous model
 // optimization, reconfiguration) over the Edge-to-Cloud Continuum.
+//
+// The Manager optimizes one objective. A problem with several metrics (the
+// right-hand class of the paper's Figure 4) must be scalarized into one
+// metric by the user's objective function before it is handed over.
 package core
 
 import (

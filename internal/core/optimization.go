@@ -128,7 +128,7 @@ func NewManager(spec Spec) (*Manager, error) {
 		return nil, err
 	}
 	if spec.Problem.MultiObjective() {
-		return nil, fmt.Errorf("core: Manager optimizes a single objective; scalarize multi-objective problems with WeightedSum (see Fig. 4 example)")
+		return nil, fmt.Errorf("core: Manager optimizes a single objective; scalarize the objectives into one metric")
 	}
 	spec.Search.fillDefaults()
 	if spec.NumSamples <= 0 {

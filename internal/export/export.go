@@ -126,36 +126,3 @@ func (t *Table) WriteCSV(path string) error {
 	w.Flush()
 	return w.Error()
 }
-
-// Series is a named (x, y) sequence — one line of a paper figure.
-type Series struct {
-	Name string
-	X, Y []float64
-}
-
-// WriteSeriesCSV writes several series as long-format CSV
-// (series,x,y rows) so plots can be regenerated externally.
-func WriteSeriesCSV(path string, series ...Series) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("export: %w", err)
-	}
-	defer f.Close()
-	w := csv.NewWriter(f)
-	if err := w.Write([]string{"series", "x", "y"}); err != nil {
-		return fmt.Errorf("export: %w", err)
-	}
-	for _, s := range series {
-		if len(s.X) != len(s.Y) {
-			return fmt.Errorf("export: series %q has %d x vs %d y", s.Name, len(s.X), len(s.Y))
-		}
-		for i := range s.X {
-			if err := w.Write([]string{s.Name,
-				fmt.Sprintf("%g", s.X[i]), fmt.Sprintf("%g", s.Y[i])}); err != nil {
-				return fmt.Errorf("export: %w", err)
-			}
-		}
-	}
-	w.Flush()
-	return w.Error()
-}

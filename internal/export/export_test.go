@@ -93,36 +93,3 @@ func TestTableCSV(t *testing.T) {
 		t.Errorf("csv = %v", rows)
 	}
 }
-
-func TestSeriesCSV(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "series.csv")
-	err := WriteSeriesCSV(path,
-		Series{Name: "baseline", X: []float64{80, 120}, Y: []float64{2.657, 3.86}},
-		Series{Name: "preliminary", X: []float64{80}, Y: []float64{2.484}},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	rows, err := csv.NewReader(f).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d, want 4 (header + 3)", len(rows))
-	}
-	if rows[1][0] != "baseline" || rows[3][0] != "preliminary" {
-		t.Errorf("series order wrong: %v", rows)
-	}
-}
-
-func TestSeriesLengthMismatch(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.csv")
-	if err := WriteSeriesCSV(path, Series{Name: "x", X: []float64{1}, Y: nil}); err == nil {
-		t.Error("ragged series accepted")
-	}
-}

@@ -20,16 +20,3 @@ func ExampleDE() {
 	// Output:
 	// extract=6 resp=2.40 after 800 evaluations
 }
-
-// NSGA-II on a two-objective trade-off returns the whole Pareto front in
-// one run.
-func ExampleNSGA2() {
-	s := space.New(space.Int("placement", 0, 4))
-	fn := func(x []float64) []float64 {
-		return []float64{x[0], 4 - x[0]} // every placement is Pareto-optimal
-	}
-	front := metaheur.NSGA2{Seed: 3, PopSize: 20}.MinimizeMulti(s, fn, 25)
-	fmt.Println("front size:", len(front))
-	// Output:
-	// front size: 5
-}

@@ -1,11 +1,12 @@
 // Package metaheur implements the evolutionary and swarm-intelligence
 // optimizers the paper's Phase II prescribes for short-time running
 // applications: Genetic Algorithm, Differential Evolution, Simulated
-// Annealing, and Particle Swarm Optimization.
+// Annealing, Particle Swarm Optimization, and Tabu search. core.Manager
+// reaches them through the optimization config's algorithm name.
 //
-// All algorithms minimize a black-box objective over a space.Space within a
-// fixed evaluation budget, operate internally in the unit hypercube, and are
-// deterministic given their seed.
+// All algorithms minimize a single black-box objective over a space.Space
+// within a fixed evaluation budget, operate internally in the unit
+// hypercube, and are deterministic given their seed.
 package metaheur
 
 import (

@@ -4,7 +4,7 @@ import "e2clab/internal/sim"
 
 // Calibration fixes the engine model's free parameters. The defaults are
 // chosen so the simulated engine matches the paper's measurements in shape
-// and approximate magnitude (EXPERIMENTS.md records paper-vs-measured):
+// and approximate magnitude:
 //
 //   - Baseline (40/40/7/40) at 80 simultaneous requests is HTTP-pool bound:
 //     in-engine time ≈ 1.35 s, throughput ≈ 40/1.35 ≈ 30 req/s, user

@@ -3,7 +3,7 @@
 // Table II, over a processor-sharing CPU and a limited-parallelism GPU.
 //
 // The real engine is a proprietary Docker service; this package is the
-// calibrated discrete-event substitute (see DESIGN.md). Its free parameters
+// calibrated discrete-event substitute. Its free parameters
 // live in Calibration and are fixed so that the simulated engine reproduces
 // the queueing phenomena the paper measures on Grid'5000 chifflot nodes:
 // HTTP-pool-bound throughput at the baseline configuration, GPU saturation

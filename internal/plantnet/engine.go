@@ -26,7 +26,7 @@ type RunOptions struct {
 	// OpenLoopRate, when positive, switches to an open-loop workload:
 	// requests arrive as a Poisson process at this rate (req/s) regardless
 	// of completions, and Clients is ignored. Useful for what-if capacity
-	// studies where demand is exogenous (see examples/capacity).
+	// studies where demand is exogenous.
 	OpenLoopRate float64
 	// Arrivals, when non-nil, switches to an open-loop workload whose
 	// rate follows a piecewise-constant profile — a nonhomogeneous Poisson

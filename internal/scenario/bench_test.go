@@ -30,7 +30,7 @@ func BenchmarkNetworkPath(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := sc.Run(42, 1); err != nil {
+		if _, err := sc.Run(42); err != nil {
 			b.Fatal(err)
 		}
 	}

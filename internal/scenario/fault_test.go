@@ -45,7 +45,7 @@ const (
 // and the churned event order are all part of the determinism contract. If
 // this fails, understand the reordering before updating the values.
 func TestFaultedScenarioGoldenPin(t *testing.T) {
-	r, err := faultedScenario().Run(55, 1)
+	r, err := faultedScenario().Run(55)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestPacketScenarioGoldenPin(t *testing.T) {
 		ClientsPerGateway: 2,
 		DurationSeconds:   120,
 	}
-	r, err := sc.Run(77, 1)
+	r, err := sc.Run(77)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestPacketScenarioGoldenPin(t *testing.T) {
 	// otherwise the packet flag is dead.
 	whole := sc
 	whole.NetworkModel = "simulated"
-	w, err := whole.Run(77, 1)
+	w, err := whole.Run(77)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestTraceScenario(t *testing.T) {
 		}},
 		DurationSeconds: 150,
 	}
-	a, err := sc.Run(19, 1)
+	a, err := sc.Run(19)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestTraceScenario(t *testing.T) {
 	if a.Completed == 0 {
 		t.Error("trace-driven run completed nothing")
 	}
-	b, err := sc.Run(19, 1)
+	b, err := sc.Run(19)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,19 +311,19 @@ func TestContinuousCalibrationTightensCorrespondence(t *testing.T) {
 		ClientsPerGateway: 2,
 		DurationSeconds:   240,
 	}
-	phased, err := base.Run(23, 1)
+	phased, err := base.Run(23)
 	if err != nil {
 		t.Fatal(err)
 	}
 	calibrated := base
 	calibrated.Workload = Shape{Continuous: true}
-	cal, err := calibrated.Run(23, 1)
+	cal, err := calibrated.Run(23)
 	if err != nil {
 		t.Fatal(err)
 	}
 	forced := base
 	forced.Workload = Shape{Continuous: true, RatePerClient: 0.35}
-	old, err := forced.Run(23, 1)
+	old, err := forced.Run(23)
 	if err != nil {
 		t.Fatal(err)
 	}

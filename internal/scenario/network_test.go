@@ -27,13 +27,13 @@ func TestNetworkModelEquivalenceNoContention(t *testing.T) {
 		},
 		DurationSeconds: 300,
 	}
-	ana, err := sc.Run(5, 1)
+	ana, err := sc.Run(5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sim := sc
 	sim.NetworkModel = "simulated"
-	simRes, err := sim.Run(5, 1)
+	simRes, err := sim.Run(5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,13 +71,13 @@ func TestNetworkModelQueueingChangesResult(t *testing.T) {
 		},
 		DurationSeconds: 240,
 	}
-	ana, err := sc.Run(9, 1)
+	ana, err := sc.Run(9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sim := sc
 	sim.NetworkModel = "simulated"
-	simRes, err := sim.Run(9, 1)
+	simRes, err := sim.Run(9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestSimulatedScenarioGoldenPin(t *testing.T) {
 		DurationSeconds: 120,
 		Repeats:         2,
 	}
-	r, err := sc.Run(77, 1)
+	r, err := sc.Run(77)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestSimulatedUnreachableScenarioFails(t *testing.T) {
 		},
 		DurationSeconds: 60,
 	}
-	if _, err := sc.Run(1, 1); err == nil {
+	if _, err := sc.Run(1); err == nil {
 		t.Fatal("unreachable simulated scenario ran successfully")
 	}
 }
@@ -196,7 +196,7 @@ func TestContinuousShapeScenario(t *testing.T) {
 		Workload:          Shape{Kind: "bursty", Phases: 4, Continuous: true},
 		DurationSeconds:   240,
 	}
-	a, err := sc.Run(3, 1)
+	a, err := sc.Run(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestContinuousShapeScenario(t *testing.T) {
 	if a.Completed == 0 || a.Throughput <= 0 {
 		t.Errorf("continuous run produced nothing: %+v", a)
 	}
-	b, err := sc.Run(3, 1)
+	b, err := sc.Run(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestContinuousShapeScenario(t *testing.T) {
 	// Continuous + simulated network compose.
 	both := sc
 	both.NetworkModel = "simulated"
-	r, err := both.Run(3, 1)
+	r, err := both.Run(3)
 	if err != nil {
 		t.Fatal(err)
 	}

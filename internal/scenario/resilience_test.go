@@ -35,7 +35,7 @@ const (
 // retry backoff draws are all part of the determinism contract. If this
 // fails, understand the reordering before updating the values.
 func TestResilientScenarioGoldenPin(t *testing.T) {
-	r, err := resilientScenario().Run(55, 1)
+	r, err := resilientScenario().Run(55)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestResilienceSweepCloneIsolation(t *testing.T) {
 // retry+failover strictly improves the availability fraction with bounded
 // retry amplification — the acceptance sweep of the resilience layer.
 func TestAvailabilitySLOImprovement(t *testing.T) {
-	plain, err := faultedScenario().Run(55, 1)
+	plain, err := faultedScenario().Run(55)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestAvailabilitySLOImprovement(t *testing.T) {
 		t.Fatalf("chaos baseline lost nothing (failed=%d, availability=%v) — the comparison is vacuous",
 			plain.Failed, plain.Availability)
 	}
-	pol, err := resilientScenario().Run(55, 1)
+	pol, err := resilientScenario().Run(55)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestPhasedFaultTimelineIsContinuous(t *testing.T) {
 			{Replica: 1, AtSeconds: 120, RecoverAfterSeconds: 30},
 		}},
 	}
-	r, err := s.Run(9, 1)
+	r, err := s.Run(9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestPhasedFaultTimelineIsContinuous(t *testing.T) {
 	}
 	// Repeatable: the windowed lowering draws its compile seed from the
 	// scenario seeder, so the whole phased-faulted run is deterministic.
-	r2, err := s.Run(9, 1)
+	r2, err := s.Run(9)
 	if err != nil {
 		t.Fatal(err)
 	}

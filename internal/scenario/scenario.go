@@ -536,18 +536,17 @@ type Result struct {
 	Availability float64 `json:"availability"`
 }
 
+// repeatParallelism bounds each phase's RunRepeated pool. Repeats run
+// sequentially: the suite pool is the parallelism knob, and nesting a
+// repeat pool inside every suite worker would oversubscribe.
+const repeatParallelism = 1
+
 // Run executes the scenario: every workload phase (or, for a continuous
 // shape, the single piecewise-rate run) executes plantnet.RunRepeated with
 // a seed derived from `seed`, and results aggregate in phase order — the
 // Result is a pure function of (scenario, seed). One plantnet.Runner is
 // carried across the phases, so engine setup is paid once per scenario.
-// repeatParallelism bounds the per-phase RunRepeated pool; <= 0 means
-// sequential (not GOMAXPROCS: the suite pool is the parallelism knob, and
-// nesting a repeat pool inside every suite worker would oversubscribe).
-func (s Scenario) Run(seed int64, repeatParallelism int) (*Result, error) {
-	if repeatParallelism <= 0 {
-		repeatParallelism = 1
-	}
+func (s Scenario) Run(seed int64) (*Result, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}

@@ -26,7 +26,7 @@ func shardedScenario() Scenario {
 // shard count is only a parallelism knob — Shards 2, 4, and 8 produce
 // bit-identical Results.
 func TestShardedScenarioWorkerCountInvariant(t *testing.T) {
-	ref, err := shardedScenario().Run(21, 1)
+	ref, err := shardedScenario().Run(21)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestShardedScenarioWorkerCountInvariant(t *testing.T) {
 	for _, shards := range []int{4, 8} {
 		sc := shardedScenario()
 		sc.Shards = shards
-		r, err := sc.Run(21, 1)
+		r, err := sc.Run(21)
 		if err != nil {
 			t.Fatal(err)
 		}

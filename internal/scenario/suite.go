@@ -40,7 +40,7 @@ type Suite struct {
 }
 
 // LoadSuite reads a suite definition from JSON (the declarative form the
-// ready-made suites under examples/suite ship in).
+// ready-made suite in examples/suite/suite.json ships in).
 func LoadSuite(path string) (*Suite, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -99,9 +99,6 @@ type Options struct {
 	// all workers finish, so fixed-seed output is bit-identical at any
 	// parallelism (the plantnet.RunRepeated pattern).
 	Parallel int
-	// RepeatParallelism bounds each scenario's internal RunRepeated pool
-	// (default 1: the suite pool is the parallelism knob).
-	RepeatParallelism int
 	// CheckpointPath enables crash-safe resume: the suite state is saved
 	// (atomically, via the tune checkpoint machinery) after every scenario
 	// completes, and a restart skips scenarios already completed under the
@@ -280,7 +277,7 @@ func RunSuite(s Suite, opts Options) (*SuiteResult, error) {
 			opts.Logger("started", i, sc.Name)
 		}
 		mu.Unlock()
-		r, rerr := sc.Run(seeds[i], opts.RepeatParallelism)
+		r, rerr := sc.Run(seeds[i])
 		mu.Lock()
 		defer mu.Unlock()
 		if rerr != nil {

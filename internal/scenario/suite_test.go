@@ -199,7 +199,7 @@ func TestSuiteUnreachableScenarioFails(t *testing.T) {
 	if !math.IsInf(sc.NetworkOverheadSeconds(), 1) {
 		t.Fatalf("overhead = %v, want +Inf", sc.NetworkOverheadSeconds())
 	}
-	if _, err := sc.Run(1, 1); err == nil {
+	if _, err := sc.Run(1); err == nil {
 		t.Fatal("unreachable scenario ran successfully")
 	}
 	// In a suite it fails without sinking the other scenarios.
@@ -387,6 +387,32 @@ func TestLoadSuiteJSON(t *testing.T) {
 	}
 	if _, err := LoadSuite(path); err == nil {
 		t.Error("unknown suite field accepted")
+	}
+}
+
+// TestExampleSuiteFileValidates loads the suite file the README and the
+// experiments -suite docs point users to, so a spec change that breaks it
+// fails here rather than in a user's campaign.
+func TestExampleSuiteFileValidates(t *testing.T) {
+	s, err := LoadSuite(filepath.Join("..", "..", "examples", "suite", "suite.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// resolved applies the suite-level defaults and validates every
+	// scenario, exactly as RunSuite does before running.
+	scs, err := s.resolved()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(scs) != 12 {
+		t.Errorf("example suite has %d scenarios, want 12", len(scs))
+	}
+	names := make(map[string]bool, len(scs))
+	for _, sc := range scs {
+		if names[sc.Name] {
+			t.Errorf("duplicate scenario %q", sc.Name)
+		}
+		names[sc.Name] = true
 	}
 }
 

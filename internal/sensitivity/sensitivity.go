@@ -1,18 +1,15 @@
 // Package sensitivity implements the sensitivity-analysis techniques of the
 // paper's Section IV-C: One-at-a-time (OAT), "a simple and common approach
 // that consists in varying a single parameter at a time to identify the
-// effect on the output", plus Morris elementary-effects screening as a
-// global alternative.
+// effect on the output", and Refine, which chains OAT sweeps to turn the
+// preliminary optimum into the refined one.
 package sensitivity
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
-	"e2clab/internal/rngutil"
 	"e2clab/internal/space"
-	"e2clab/internal/stats"
 )
 
 // OATPoint is one evaluation of an OAT sweep.
@@ -41,20 +38,6 @@ func (r *OATResult) Best() OATPoint {
 		}
 	}
 	return best
-}
-
-// Range returns max(Y) - min(Y): the parameter's OAT effect size.
-func (r *OATResult) Range() float64 {
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, p := range r.Points {
-		if p.Y < lo {
-			lo = p.Y
-		}
-		if p.Y > hi {
-			hi = p.Y
-		}
-	}
-	return hi - lo
 }
 
 // OAT sweeps dimension dim of s over center ± delta (clipped to bounds),
@@ -104,67 +87,4 @@ func Refine(s *space.Space, center []float64, dims []string, delta int, fn func(
 		cur = append([]float64(nil), best.X...)
 	}
 	return cur, sweeps, nil
-}
-
-// MorrisResult holds the elementary-effect statistics of one dimension.
-type MorrisResult struct {
-	Dimension string
-	// Mu is the mean elementary effect (signed).
-	Mu float64
-	// MuStar is the mean absolute elementary effect (overall influence).
-	MuStar float64
-	// Sigma is the effects' standard deviation (interaction/nonlinearity).
-	Sigma float64
-}
-
-// Morris runs the Morris elementary-effects screening method with r
-// trajectories over a p-level grid, returning one result per dimension
-// sorted by descending MuStar.
-func Morris(s *space.Space, r, levels int, seed int64, fn func(x []float64) float64) ([]MorrisResult, error) {
-	if r < 2 {
-		return nil, fmt.Errorf("sensitivity: Morris needs >= 2 trajectories, got %d", r)
-	}
-	if levels < 2 {
-		levels = 4
-	}
-	d := s.Len()
-	rng := rngutil.New(seed)
-	delta := float64(levels) / (2 * float64(levels-1)) // standard Morris step
-	effects := make([]stats.Welford, d)
-	absEffects := make([]stats.Welford, d)
-	for t := 0; t < r; t++ {
-		// Random grid start that can accommodate +delta in every dim.
-		u := make([]float64, d)
-		for j := range u {
-			u[j] = float64(rng.Intn(levels/2)) / float64(levels-1)
-		}
-		y := fn(s.FromUnit(u))
-		// Random dimension order.
-		for _, j := range rng.Perm(d) {
-			u2 := append([]float64(nil), u...)
-			u2[j] += delta
-			if u2[j] > 1 {
-				u2[j] -= 2 * delta
-			}
-			y2 := fn(s.FromUnit(u2))
-			ee := (y2 - y) / delta
-			if u2[j] < u[j] {
-				ee = -ee
-			}
-			effects[j].Add(ee)
-			absEffects[j].Add(math.Abs(ee))
-			u, y = u2, y2
-		}
-	}
-	out := make([]MorrisResult, d)
-	for j := 0; j < d; j++ {
-		out[j] = MorrisResult{
-			Dimension: s.Dim(j).Name,
-			Mu:        effects[j].Mean(),
-			MuStar:    absEffects[j].Mean(),
-			Sigma:     effects[j].StdDev(),
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].MuStar > out[j].MuStar })
-	return out, nil
 }

@@ -1,8 +1,8 @@
 // Package stats provides the statistical aggregation used throughout the
 // paper's evaluation: means and standard deviations over repeated
 // experiments (e.g. "2.657 (±0.0914)" aggregates 966 measurements = 138
-// samples x 7 repetitions), quantiles, confidence intervals, and
-// correlation.
+// samples x 7 repetitions), quantiles, and online and reservoir-sampled
+// accumulators.
 package stats
 
 import (
@@ -40,15 +40,6 @@ func Variance(xs []float64) float64 {
 // StdDev returns the sample standard deviation.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// StdErr returns the standard error of the mean.
-func StdErr(xs []float64) float64 {
-	return StdDev(xs) / math.Sqrt(float64(len(xs)))
-}
-
-// CI95 returns the half-width of a normal-approximation 95% confidence
-// interval on the mean.
-func CI95(xs []float64) float64 { return 1.96 * StdErr(xs) }
-
 // Quantile returns the q-quantile (0<=q<=1) using linear interpolation
 // between order statistics. xs is not modified.
 func Quantile(xs []float64, q float64) float64 {
@@ -70,25 +61,6 @@ func Quantile(xs []float64, q float64) float64 {
 		return s[lo]
 	}
 	return s[lo]*(1-frac) + s[lo+1]*frac
-}
-
-// Pearson returns the Pearson correlation coefficient of paired samples.
-func Pearson(xs, ys []float64) float64 {
-	if len(xs) != len(ys) || len(xs) < 2 {
-		return math.NaN()
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return math.NaN()
-	}
-	return sxy / math.Sqrt(sxx*syy)
 }
 
 // Welford accumulates mean and variance online in a single pass, used by

@@ -52,24 +52,6 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
-func TestPearson(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	ys := []float64{2, 4, 6, 8}
-	if math.Abs(Pearson(xs, ys)-1) > 1e-12 {
-		t.Errorf("perfect correlation = %v", Pearson(xs, ys))
-	}
-	neg := []float64{8, 6, 4, 2}
-	if math.Abs(Pearson(xs, neg)+1) > 1e-12 {
-		t.Errorf("perfect anticorrelation = %v", Pearson(xs, neg))
-	}
-	if !math.IsNaN(Pearson(xs, []float64{1, 1, 1, 1})) {
-		t.Error("constant series should give NaN")
-	}
-	if !math.IsNaN(Pearson(xs, ys[:3])) {
-		t.Error("length mismatch should give NaN")
-	}
-}
-
 func TestWelfordMatchesBatch(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	xs := make([]float64, 500)
@@ -154,21 +136,6 @@ func TestSummarize(t *testing.T) {
 	snap := w.Snapshot()
 	if snap.Mean != s.Mean || snap.N != s.N || math.Abs(snap.StdDev-s.StdDev) > 1e-12 {
 		t.Errorf("Snapshot %+v != Summarize %+v", snap, s)
-	}
-}
-
-func TestCI95ShrinksWithN(t *testing.T) {
-	r := rand.New(rand.NewSource(8))
-	small := make([]float64, 10)
-	big := make([]float64, 1000)
-	for i := range small {
-		small[i] = r.NormFloat64()
-	}
-	for i := range big {
-		big[i] = r.NormFloat64()
-	}
-	if CI95(big) >= CI95(small) {
-		t.Errorf("CI95 did not shrink: n=10 %v vs n=1000 %v", CI95(small), CI95(big))
 	}
 }
 

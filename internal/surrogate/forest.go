@@ -228,6 +228,3 @@ func (f *Forest) PredictBatch(X [][]float64) ([]float64, []float64) {
 	})
 	return means, stds
 }
-
-// NTrees returns the ensemble size.
-func (f *Forest) NTrees() int { return len(f.trees) }

@@ -258,6 +258,3 @@ func (g *GP) PredictBatch(X [][]float64) ([]float64, []float64) {
 	})
 	return means, stds
 }
-
-// LengthScale returns the fitted length scale (for tests/diagnostics).
-func (g *GP) LengthScale() float64 { return g.ls }

@@ -10,8 +10,7 @@ import (
 
 // The paper's Optimization Manager leans on Ray Tune's checkpointing and
 // logging; this file persists an Analysis so an interrupted or finished
-// tuning run can be reloaded for reporting, and a resumed run can be seeded
-// from the completed trials.
+// tuning run can be reloaded for reporting.
 
 // analysisJSON is the serialized form of an Analysis.
 type analysisJSON struct {
@@ -63,10 +62,9 @@ func Load(path string) (*Analysis, error) {
 		return nil, fmt.Errorf("tune: corrupt analysis %s: %w", path, err)
 	}
 	a := &Analysis{Name: in.Name, Metric: in.Metric}
-	// A mangled mode must not silently fall back to Min: SeedFrom would
-	// negate values with the wrong sign and a resumed max-mode run would
-	// optimize the wrong direction. Accept exactly the Mode.String() values
-	// Save writes.
+	// A mangled mode must not silently fall back to Min: a reloaded
+	// max-mode analysis would then rank its trials in the wrong direction.
+	// Accept exactly the Mode.String() values Save writes.
 	switch in.Mode {
 	case space.Min.String():
 		a.Mode = space.Min
@@ -95,22 +93,4 @@ func Load(path string) (*Analysis, error) {
 		a.Trials = append(a.Trials, t)
 	}
 	return a, nil
-}
-
-// SeedFrom replays a saved analysis' completed and stopped trials into a
-// search algorithm (Tell for each), so a resumed run continues from the
-// prior evidence instead of restarting cold.
-func SeedFrom(a *Analysis, search SearchAlgorithm) int {
-	sign := 1.0
-	if a.Mode == space.Max {
-		sign = -1
-	}
-	n := 0
-	for _, t := range a.Trials {
-		if t.Status == Completed || t.Status == Stopped {
-			search.Tell(t.Config, sign*t.Value)
-			n++
-		}
-	}
-	return n
 }

@@ -468,23 +468,6 @@ func TestCheckpointSaveLoad(t *testing.T) {
 	}
 }
 
-func TestSeedFromReplaysEvidence(t *testing.T) {
-	s := unitSpace(1)
-	a, err := Run(RunConfig{NumSamples: 6}, &RandomSearch{Space: s, Seed: 14},
-		func(ctx *Context, x []float64) (float64, error) { return x[0], nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tells int64
-	cs := &countingSearch{inner: &RandomSearch{Space: s, Seed: 15}, tells: &tells}
-	if n := SeedFrom(a, cs); n != 6 {
-		t.Errorf("SeedFrom replayed %d, want 6", n)
-	}
-	if tells != 6 {
-		t.Errorf("search received %d tells", tells)
-	}
-}
-
 func TestCheckpointModeRoundTrip(t *testing.T) {
 	s := unitSpace(1)
 	obj := func(ctx *Context, x []float64) (float64, error) { return x[0], nil }

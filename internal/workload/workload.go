@@ -23,15 +23,6 @@ type Spec struct {
 	DurationSeconds float64
 }
 
-// PaperWorkloads returns the three workload categories of Section IV.
-func PaperWorkloads() []Spec {
-	return []Spec{
-		{SimultaneousRequests: 80, DurationSeconds: 1380},
-		{SimultaneousRequests: 120, DurationSeconds: 1380},
-		{SimultaneousRequests: 140, DurationSeconds: 1380},
-	}
-}
-
 // Validate reports whether the spec is usable.
 func (s Spec) Validate() error {
 	if s.SimultaneousRequests < 1 {
@@ -140,20 +131,7 @@ func YearTotal(trace []WeekPoint, year int) float64 {
 	return s
 }
 
-// ProjectedPopulation converts a projected user count into the simultaneous
-// request population the engine must sustain, given the fraction of users
-// active concurrently at daily peak. The paper's Pl@ntNet serves ~10M users
-// and ~400K images/day; the engine sees O(100) simultaneous requests.
-func ProjectedPopulation(totalUsers, concurrentFraction float64) int {
-	n := int(math.Ceil(totalUsers * concurrentFraction))
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// Poisson draws a Poisson-distributed count with the given mean — used by
-// open-loop workload variants in the examples.
+// Poisson draws a Poisson-distributed count with the given mean.
 func Poisson(r *rand.Rand, mean float64) int {
 	if mean <= 0 {
 		return 0

@@ -6,25 +6,6 @@ import (
 	"testing"
 )
 
-func TestPaperWorkloads(t *testing.T) {
-	ws := PaperWorkloads()
-	if len(ws) != 3 {
-		t.Fatalf("want 3 workload categories, got %d", len(ws))
-	}
-	wantN := []int{80, 120, 140}
-	for i, w := range ws {
-		if w.SimultaneousRequests != wantN[i] {
-			t.Errorf("workload %d = %d requests, want %d", i, w.SimultaneousRequests, wantN[i])
-		}
-		if w.DurationSeconds != 1380 {
-			t.Errorf("duration = %v, want 1380 (23 min)", w.DurationSeconds)
-		}
-		if err := w.Validate(); err != nil {
-			t.Errorf("paper workload invalid: %v", err)
-		}
-	}
-}
-
 func TestSpecValidate(t *testing.T) {
 	if err := (Spec{SimultaneousRequests: 0, DurationSeconds: 10}).Validate(); err == nil {
 		t.Error("zero population accepted")
@@ -95,15 +76,6 @@ func TestPeakWeekMissingYear(t *testing.T) {
 	trace := DefaultGrowthModel().Generate()
 	if w, _ := PeakWeek(trace, 1999); w != -1 {
 		t.Errorf("missing year returned week %d", w)
-	}
-}
-
-func TestProjectedPopulation(t *testing.T) {
-	if got := ProjectedPopulation(10e6, 120.0/10e6); got != 120 {
-		t.Errorf("ProjectedPopulation = %d, want 120", got)
-	}
-	if got := ProjectedPopulation(0, 0.1); got != 1 {
-		t.Errorf("floor = %d, want 1", got)
 	}
 }
 
