@@ -74,27 +74,32 @@ func BenchmarkFig3ResponseCurve(b *testing.B) {
 func BenchmarkTable3Optimization(b *testing.B) {
 	var best float64
 	for i := 0; i < b.N; i++ {
-		m, err := core.NewManager(core.Spec{
-			Problem: space.PlantNetProblem(),
-			Search: core.SearchSpec{Algorithm: "skopt", BaseEstimator: "ET",
-				NInitialPoints: 8, InitialPointGenerator: "lhs", AcqFunc: "gp_hedge"},
-			NumSamples:    16,
-			MaxConcurrent: 2,
-			UseASHA:       true,
-			Repeat:        1,
-			Duration:      benchDuration,
-			Seed:          int64(i + 42),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := m.Optimize(core.PlantNetObjective(80, int64(i+42)))
+		res, err := table3(int64(i + 42))
 		if err != nil {
 			b.Fatal(err)
 		}
 		best = res.BestY
 	}
 	b.ReportMetric(best, "best_resp_s")
+}
+
+// table3 is one Listing 1 optimization: 16 samples, 2 concurrent, ASHA.
+func table3(seed int64) (*core.Result, error) {
+	m, err := core.NewManager(core.Spec{
+		Problem: space.PlantNetProblem(),
+		Search: core.SearchSpec{Algorithm: "skopt", BaseEstimator: "ET",
+			NInitialPoints: 8, InitialPointGenerator: "lhs", AcqFunc: "gp_hedge"},
+		NumSamples:    16,
+		MaxConcurrent: 2,
+		UseASHA:       true,
+		Repeat:        1,
+		Duration:      benchDuration,
+		Seed:          seed,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return m.Optimize(core.PlantNetObjective(80, seed))
 }
 
 // BenchmarkFig8Workloads compares baseline vs preliminary optimum across

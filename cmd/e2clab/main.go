@@ -143,6 +143,9 @@ func optimize(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := core.CheckProtocol(*duration, *repeat); err != nil {
+		return fmt.Errorf("optimize: %w", err)
+	}
 	backup := fs.Arg(0)
 	if backup == "" {
 		return fmt.Errorf("optimize: missing <backup_dir> argument")
@@ -233,6 +236,9 @@ func verify(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *maxEvals < 1 {
+		return fmt.Errorf("verify: -max must be at least 1, got %d", *maxEvals)
+	}
 	if fs.Arg(0) == "" {
 		return fmt.Errorf("verify: missing <backup_dir> argument")
 	}
@@ -252,10 +258,7 @@ func verify(args []string) error {
 		return fmt.Errorf("verify: archive holds no evaluations")
 	}
 	obj := core.PlantNetObjective(*clients, s.Seed)
-	n := *maxEvals
-	if n > len(evals) {
-		n = len(evals)
-	}
+	n := min(*maxEvals, len(evals))
 	fmt.Printf("re-running %d of %d archived evaluations (seed %d, %d x %.0fs)\n",
 		n, len(evals), s.Seed, s.Repeat, s.Duration)
 	failures := 0
@@ -285,11 +288,4 @@ func verify(args []string) error {
 	}
 	fmt.Println("all re-run evaluations reproduced exactly")
 	return nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -30,7 +30,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 
@@ -64,7 +63,7 @@ func main() {
 		*flagDuration = 1380
 		*flagRepeat = 7
 	}
-	if err := checkProtocol(*flagDuration, *flagRepeat); err != nil {
+	if err := core.CheckProtocol(*flagDuration, *flagRepeat); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -103,20 +102,6 @@ func main() {
 		os.Exit(2)
 	}
 	run(cmd)
-}
-
-// checkProtocol rejects protocol flags the engine would not honour. A NaN
-// or infinite horizon never ends a simulation run, a non-positive one would
-// be replaced by the paper's 1380 s horizon, and fewer than one repetition
-// would be run as one.
-func checkProtocol(duration float64, repeat int) error {
-	if math.IsNaN(duration) || math.IsInf(duration, 0) || duration <= 0 {
-		return fmt.Errorf("-duration must be finite and positive, got %v", duration)
-	}
-	if repeat < 1 {
-		return fmt.Errorf("-repeat must be at least 1, got %d", repeat)
-	}
-	return nil
 }
 
 // measure runs one configuration under one workload with the shared

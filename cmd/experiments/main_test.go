@@ -3,10 +3,12 @@ package main
 import (
 	"math"
 	"testing"
+
+	"e2clab/internal/core"
 )
 
 func TestCheckProtocol(t *testing.T) {
-	if err := checkProtocol(300, 2); err != nil {
+	if err := core.CheckProtocol(300, 2); err != nil {
 		t.Errorf("default protocol rejected: %v", err)
 	}
 	bad := []struct {
@@ -21,8 +23,8 @@ func TestCheckProtocol(t *testing.T) {
 		{300, -1},
 	}
 	for _, c := range bad {
-		if err := checkProtocol(c.duration, c.repeat); err == nil {
-			t.Errorf("checkProtocol(%v, %d) accepted", c.duration, c.repeat)
+		if err := core.CheckProtocol(c.duration, c.repeat); err == nil {
+			t.Errorf("core.CheckProtocol(%v, %d) accepted", c.duration, c.repeat)
 		}
 	}
 }

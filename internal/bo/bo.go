@@ -485,20 +485,6 @@ func (o *Optimizer) SnapshotModel() ([]byte, error) {
 	return surrogate.Marshal(model)
 }
 
-// BestSeries returns the running best value after each Tell (the
-// convergence curve reported in optimization summaries).
-func (o *Optimizer) BestSeries() []float64 {
-	out := make([]float64, len(o.y))
-	best := math.Inf(1)
-	for i, v := range o.y {
-		if v < best {
-			best = v
-		}
-		out[i] = best
-	}
-	return out
-}
-
 // Evaluations returns copies of all (x, y) pairs told so far, in value
 // space, for the Phase III archive.
 func (o *Optimizer) Evaluations() ([][]float64, []float64) {

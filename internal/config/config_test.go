@@ -58,7 +58,8 @@ func TestLoadScenarioAndBuild(t *testing.T) {
 	if d.NodeCount() != 42 {
 		t.Errorf("deployed %d nodes, want 42", d.NodeCount())
 	}
-	if e.Network == nil || e.Network.RTTSeconds("edge", "cloud") != 0.004 {
+	if e.Network == nil || e.Network.Between("edge", "cloud").DelayMS != 2 ||
+		e.Network.Between("cloud", "edge").DelayMS != 2 {
 		t.Error("network rules not built")
 	}
 }

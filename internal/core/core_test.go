@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -354,6 +355,24 @@ func TestPlantNetObjectiveEndToEnd(t *testing.T) {
 	}
 }
 
+// TestPlantNetObjectiveRejectsWarmupOnlyRun: a run no longer than the
+// engine's 60 s warmup measures nothing, so the objective fails instead of
+// returning NaN, and the Manager's all-failed error carries that cause.
+func TestPlantNetObjectiveRejectsWarmupOnlyRun(t *testing.T) {
+	obj := PlantNetObjective(80, 9)
+	y, err := obj(&Evaluation{X: plantnet.Baseline.Vector(), Repeat: 1, Duration: 30})
+	if err == nil || !strings.Contains(err.Error(), "warmup") {
+		t.Fatalf("30 s run: got %v, %v; want a warmup error", y, err)
+	}
+	m, err := NewManager(Spec{Problem: space.PlantNetProblem(), NumSamples: 2, Repeat: 1, Duration: 30, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Optimize(obj); err == nil || !strings.Contains(err.Error(), "warmup") {
+		t.Errorf("Optimize = %v, want the evaluations' warmup error", err)
+	}
+}
+
 // TestArchivedModelReloadable: a skopt run with an archive produces a
 // serialized surrogate that reloads and predicts.
 func TestArchivedModelReloadable(t *testing.T) {
@@ -372,11 +391,7 @@ func TestArchivedModelReloadable(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	a, err := provenance.NewArchive(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := a.ReadBlob("model.json")
+	blob, err := os.ReadFile(filepath.Join(dir, "model.json"))
 	if err != nil {
 		t.Fatal(err)
 	}

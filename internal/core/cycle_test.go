@@ -76,8 +76,8 @@ func TestCycleSkipsBackupOnWorkloadFailure(t *testing.T) {
 	if rep.Statuses["backup"] != workflow.SkippedUpstream {
 		t.Errorf("backup status %v", rep.Statuses["backup"])
 	}
-	if rep.FirstError() == nil {
-		t.Error("FirstError missing")
+	if len(rep.Errors) == 0 {
+		t.Error("workload failure not reported")
 	}
 	// Cleanup (deferred by caller) releases the nodes.
 	cleanup()

@@ -72,6 +72,20 @@ type Spec struct {
 	ArchiveDir string
 }
 
+// CheckProtocol rejects -duration and -repeat values that the CLIs would
+// not honour. A NaN or infinite horizon never ends a simulation run, a
+// non-positive one would be replaced by the paper's 1380 s horizon, and
+// fewer than one repetition would be run as one.
+func CheckProtocol(duration float64, repeat int) error {
+	if math.IsNaN(duration) || math.IsInf(duration, 0) || duration <= 0 {
+		return fmt.Errorf("-duration must be finite and positive, got %v", duration)
+	}
+	if repeat < 1 {
+		return fmt.Errorf("-repeat must be at least 1, got %d", repeat)
+	}
+	return nil
+}
+
 // Evaluation is the context handed to the user objective for one model
 // evaluation: the configuration to deploy and the dedicated optimization
 // directory created by prepare().
@@ -265,8 +279,8 @@ func (m *Manager) optimizeParallel(obj Objective) (*Result, error) {
 		return nil, err
 	}
 	best := analysis.Best()
-	if best == nil {
-		return nil, fmt.Errorf("core: every evaluation failed")
+	if best == nil { // no trial completed, so every trial holds its error
+		return nil, fmt.Errorf("core: every evaluation failed, the first with: %w", analysis.Trials[0].Err)
 	}
 	// Archive the final surrogate model alongside the evaluations
 	// (finalize(): "intermediate models throughout training").

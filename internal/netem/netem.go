@@ -99,10 +99,5 @@ func transferSeconds(delaySec, rateBps, lossPct, payloadBytes float64) float64 {
 	return t
 }
 
-// RTTSeconds returns the round-trip delay between two layers.
-func (n *Network) RTTSeconds(a, b string) float64 {
-	return n.Between(a, b).DelayMS/1000 + n.Between(b, a).DelayMS/1000
-}
-
 // Rules returns a copy of the rule set (for the provenance archive).
 func (n *Network) Rules() []Rule { return append([]Rule(nil), n.rules...) }

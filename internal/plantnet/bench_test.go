@@ -1,11 +1,6 @@
 package plantnet
 
-import (
-	"runtime"
-	"testing"
-
-	"e2clab/internal/netem"
-)
+import "testing"
 
 // BenchmarkEngineSimulation measures the cost of one 200-second engine
 // experiment at the 80-request workload (the unit of every optimization
@@ -37,76 +32,5 @@ func BenchmarkEngineSimulationHeavy(b *testing.B) {
 		if _, err := Run(RunOptions{Pools: PreliminaryOptimum, Clients: 160, Duration: 200, Seed: int64(i + 1)}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// shardedScaleOpts is the BenchmarkShardedScale configuration: a 10k-gateway
-// edge tier (64 classes x 160 gateways) on packetized lossy uplinks with no
-// shared backhaul, so the domain shards carry the packet-level event load.
-// NetworkRTT is set to a remote-edge 160 ms so the conservative windows
-// (RTT/2) are wide enough to amortize the barrier — the regime the sharded
-// kernel is for (the README's "when shards help"). Even on ONE core this
-// config runs the sharded kernel at parity or slightly ahead of the
-// sequential one (65 small calendar heaps beat one 10k-gateway heap); the
-// headline >= 2x wall-clock win needs >= 4 real cores for the worker pool.
-func shardedScaleOpts(shards int, seed int64) RunOptions {
-	nm := &NetworkModel{
-		UploadBytes:   80e3,
-		ResponseBytes: 8e3,
-		Packet:        true,
-		MTUBytes:      1500,
-	}
-	for c := 0; c < 64; c++ {
-		nm.Classes = append(nm.Classes, NetworkClass{
-			Gateways: 160,
-			Up:       netem.LinkSpec{DelaySec: 0.010 + float64(c%8)*0.005, RateBps: 8e6, LossPct: 0.5},
-			Down:     netem.LinkSpec{DelaySec: 0.010 + float64(c%8)*0.005, RateBps: 10e6},
-		})
-	}
-	cal := DefaultCalibration()
-	cal.NetworkRTT = 0.16
-	return RunOptions{
-		Pools:    Baseline,
-		Clients:  10240,
-		Network:  nm,
-		Replicas: 4,
-		Duration: 60,
-		Warmup:   20,
-		Seed:     seed,
-		Shards:   shards,
-		Cal:      cal,
-	}
-}
-
-// BenchmarkShardedScale compares the sequential kernel against the
-// domain-sharded kernel at 10,240 gateways. The shards=4 case is the
-// headline number: on a host with >= 4 real cores it must beat shards=1 by
-// >= 2x wall-clock (both subbenches pin GOMAXPROCS=4 so the ratio measures
-// the conservative-window parallelism, not core count drift). On a
-// single-core host the two land near parity — the snapshot then records the
-// sharding overhead, not the speedup.
-func BenchmarkShardedScale(b *testing.B) {
-	for _, bc := range []struct {
-		name   string
-		shards int
-	}{{"shards=1", 1}, {"shards=4", 4}} {
-		b.Run(bc.name, func(b *testing.B) {
-			prev := runtime.GOMAXPROCS(4)
-			defer runtime.GOMAXPROCS(prev)
-			rn := NewRunner()
-			// One options value across iterations: the sharded state cache
-			// is keyed by the NetworkModel pointer, so rebuilding the spec
-			// every iteration would re-derive the per-domain models and
-			// measure setup, not simulation.
-			opts := shardedScaleOpts(bc.shards, 1)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				opts.Seed = int64(i + 1)
-				if _, err := rn.Run(opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

@@ -640,6 +640,12 @@ func Run(opts RunOptions) (*Metrics, error) {
 // Run executes one experiment on the runner's pooled state.
 func (r *Runner) Run(opts RunOptions) (*Metrics, error) {
 	opts.fillDefaults()
+	if opts.Duration <= opts.Warmup {
+		// Every sample would fall inside the warmup: the run would measure
+		// nothing and report a NaN mean.
+		return nil, fmt.Errorf("plantnet: a %g s run ends inside its %g s warmup and measures nothing; raise Duration or lower Warmup",
+			opts.Duration, opts.Warmup)
+	}
 	if err := opts.Pools.Validate(); err != nil {
 		return nil, err
 	}

@@ -202,7 +202,7 @@ func assertSameRun(t *testing.T, want, got *Metrics) {
 }
 
 func TestFaultValidation(t *testing.T) {
-	base := RunOptions{Pools: Baseline, Clients: 4, Duration: 30, Seed: 1}
+	base := RunOptions{Pools: Baseline, Clients: 4, Duration: 30, Warmup: 10, Seed: 1}
 
 	churnNoNet := base
 	churnNoNet.Faults = &fault.Spec{GatewayChurn: &fault.Churn{MeanUpSeconds: 10, MeanDownSeconds: 5}}

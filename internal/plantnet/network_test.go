@@ -147,7 +147,7 @@ func TestSimulatedNetworkQueuesUnderLoad(t *testing.T) {
 // run completes with zero completions instead of hanging.
 func TestSimulatedNetworkBlackHole(t *testing.T) {
 	nm := testNetModel(100)
-	m, err := Run(RunOptions{Pools: Baseline, Clients: 4, Duration: 60, Seed: 2, Network: nm})
+	m, err := Run(RunOptions{Pools: Baseline, Clients: 4, Duration: 60, Warmup: 30, Seed: 2, Network: nm})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,8 +192,8 @@ func TestRunnerReuseBitIdentical(t *testing.T) {
 	// flips the loop mode.
 	warmups := []RunOptions{
 		{Pools: PreliminaryOptimum, Clients: 50, Duration: 90, Seed: 5, Replicas: 2},
-		{Pools: Baseline, Clients: 10, Duration: 60, Seed: 6, Network: testNetModel(10)},
-		{Pools: Baseline, OpenLoopRate: 8, Duration: 60, Seed: 7},
+		{Pools: Baseline, Clients: 10, Duration: 60, Warmup: 30, Seed: 6, Network: testNetModel(10)},
+		{Pools: Baseline, OpenLoopRate: 8, Duration: 60, Warmup: 30, Seed: 7},
 	}
 	for _, w := range warmups {
 		if _, err := rn.Run(w); err != nil {

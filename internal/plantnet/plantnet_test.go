@@ -2,6 +2,7 @@ package plantnet
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -50,6 +51,17 @@ func TestValidation(t *testing.T) {
 	}
 	if _, err := Run(RunOptions{Pools: PoolConfig{}, Clients: 10}); err == nil {
 		t.Error("invalid pools accepted")
+	}
+	// A run that ends inside its warmup measures nothing (its mean would be
+	// NaN); a shorter warmup makes the same horizon measurable.
+	if _, err := Run(RunOptions{Pools: Baseline, Clients: 10, Duration: 60}); err == nil || !strings.Contains(err.Error(), "warmup") {
+		t.Errorf("60 s run inside the default 60 s warmup: got %v, want a warmup error", err)
+	}
+	if _, err := RunRepeated(RunOptions{Pools: Baseline, Clients: 10, Duration: 30, Warmup: 40}, 2); err == nil {
+		t.Error("RunRepeated accepted a 30 s run inside a 40 s warmup")
+	}
+	if m, err := Run(RunOptions{Pools: Baseline, Clients: 10, Duration: 30, Warmup: 10}); err != nil || math.IsNaN(m.UserResponseTime.Mean) {
+		t.Errorf("30 s run with a 10 s warmup: %v", err)
 	}
 }
 

@@ -387,17 +387,17 @@ func TestRetryAcrossTotalOutage(t *testing.T) {
 
 // Policy validation at the engine boundary.
 func TestResilienceValidation(t *testing.T) {
-	bad := RunOptions{Pools: Baseline, Clients: 4, Duration: 30, Seed: 1,
+	bad := RunOptions{Pools: Baseline, Clients: 4, Duration: 30, Warmup: 10, Seed: 1,
 		Resilience: &resilience.Policy{Retry: &resilience.Retry{Max: 99}}}
 	if _, err := Run(bad); err == nil {
 		t.Error("retry max beyond the bound accepted")
 	}
-	noNet := RunOptions{Pools: Baseline, Clients: 4, Duration: 30, Seed: 1,
+	noNet := RunOptions{Pools: Baseline, Clients: 4, Duration: 30, Warmup: 10, Seed: 1,
 		Resilience: &resilience.Policy{Failover: true}}
 	if _, err := Run(noNet); err == nil {
 		t.Error("failover without a network model accepted")
 	}
-	badTimeline := RunOptions{Pools: Baseline, Clients: 4, Duration: 30, Seed: 1,
+	badTimeline := RunOptions{Pools: Baseline, Clients: 4, Duration: 30, Warmup: 10, Seed: 1,
 		Faults:        &fault.Spec{},
 		FaultTimeline: []fault.Event{{Kind: fault.GatewayLeave, At: 1, Target: 0}}}
 	if _, err := Run(badTimeline); err == nil {

@@ -284,7 +284,7 @@ func TestShardedRunnerReuseBitIdentical(t *testing.T) {
 		}
 		// Interleave a sequential run (different mode entirely) to prove
 		// the reset discipline covers role state.
-		if _, err := r.Run(RunOptions{Pools: Baseline, Clients: 10, Duration: 40, Seed: 3}); err != nil {
+		if _, err := r.Run(RunOptions{Pools: Baseline, Clients: 10, Duration: 40, Warmup: 10, Seed: 3}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -336,14 +336,14 @@ func shardedGoldenOpts() RunOptions {
 // TestShardedValidation: Shards >= 2 without a simulated network is an
 // error; Shards <= 1 stays the sequential kernel bit-for-bit.
 func TestShardedValidation(t *testing.T) {
-	if _, err := Run(RunOptions{Pools: Baseline, Clients: 10, Duration: 30, Shards: 2}); err == nil {
+	if _, err := Run(RunOptions{Pools: Baseline, Clients: 10, Duration: 30, Warmup: 10, Shards: 2}); err == nil {
 		t.Error("Shards=2 without Network should fail")
 	}
-	a, err := Run(RunOptions{Pools: Baseline, Clients: 10, Duration: 60, Seed: 4, Network: shardedNetModel(false), Shards: 1})
+	a, err := Run(RunOptions{Pools: Baseline, Clients: 10, Duration: 60, Warmup: 30, Seed: 4, Network: shardedNetModel(false), Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(RunOptions{Pools: Baseline, Clients: 10, Duration: 60, Seed: 4, Network: shardedNetModel(false)})
+	b, err := Run(RunOptions{Pools: Baseline, Clients: 10, Duration: 60, Warmup: 30, Seed: 4, Network: shardedNetModel(false)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +429,7 @@ func TestShardedSteadyStateNoWindowLeak(t *testing.T) {
 // scenario lowering's SampleInterval = min(10, d/10).
 func TestShardedLastTickPastHorizon(t *testing.T) {
 	for _, c := range []struct{ duration, interval, warmup float64 }{
-		{0.3, 0.1, 0},
+		{0.3, 0.1, 0.1},
 		{7, 0.7, 1},
 	} {
 		opts := RunOptions{

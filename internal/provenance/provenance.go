@@ -123,15 +123,6 @@ func (a *Archive) WriteBlob(name string, data []byte) error {
 	return os.WriteFile(filepath.Join(a.Root, name), data, 0o644)
 }
 
-// ReadBlob loads an artifact written with WriteBlob.
-func (a *Archive) ReadBlob(name string) ([]byte, error) {
-	b, err := os.ReadFile(filepath.Join(a.Root, name))
-	if err != nil {
-		return nil, fmt.Errorf("provenance: %w", err)
-	}
-	return b, nil
-}
-
 // ReadSummary loads a previously written summary (for `e2clab report` and
 // the repeatability command).
 func (a *Archive) ReadSummary() (*Summary, error) {

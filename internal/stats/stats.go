@@ -161,11 +161,6 @@ type Summary struct {
 	Max    float64
 }
 
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) Summary {
-	return Summary{N: len(xs), Mean: Mean(xs), StdDev: StdDev(xs), Min: Quantile(xs, 0), Max: Quantile(xs, 1)}
-}
-
 // Snapshot freezes a Welford accumulator into a Summary.
 func (w *Welford) Snapshot() Summary {
 	return Summary{N: w.n, Mean: w.Mean(), StdDev: w.StdDev(), Min: w.Min(), Max: w.Max()}

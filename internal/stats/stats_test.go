@@ -72,6 +72,10 @@ func TestWelfordMatchesBatch(t *testing.T) {
 	if w.N() != 500 {
 		t.Errorf("N = %d", w.N())
 	}
+	s := w.Snapshot()
+	if s.N != 500 || s.Mean != w.Mean() || math.Abs(s.StdDev-StdDev(xs)) > 1e-9 || s.Min != w.Min() || s.Max != w.Max() {
+		t.Errorf("Snapshot %+v disagrees with the accumulator", s)
+	}
 }
 
 func TestWelfordMergeProperty(t *testing.T) {
@@ -121,21 +125,6 @@ func TestWelfordEmptyAccessors(t *testing.T) {
 	var w Welford
 	if !math.IsNaN(w.Mean()) || !math.IsNaN(w.Min()) || !math.IsNaN(w.Max()) || !math.IsNaN(w.Variance()) {
 		t.Error("empty accessors should be NaN")
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3})
-	if s.N != 3 || s.Mean != 2 || s.Min != 1 || s.Max != 3 {
-		t.Errorf("Summarize = %+v", s)
-	}
-	var w Welford
-	for _, x := range []float64{1, 2, 3} {
-		w.Add(x)
-	}
-	snap := w.Snapshot()
-	if snap.Mean != s.Mean || snap.N != s.N || math.Abs(snap.StdDev-s.StdDev) > 1e-12 {
-		t.Errorf("Snapshot %+v != Summarize %+v", snap, s)
 	}
 }
 

@@ -46,68 +46,6 @@ func BenchmarkGPFit(b *testing.B) {
 	}
 }
 
-// BenchmarkForestFit measures ensemble training with the worker pool
-// disabled and enabled; the parallel case should scale near-linearly with
-// cores since trees are independent.
-func BenchmarkForestFit(b *testing.B) {
-	X, y := benchData(200, 4)
-	for _, mode := range []struct {
-		name    string
-		workers int
-	}{{"sequential", 1}, {"parallel", 0}} {
-		b.Run(mode.name, func(b *testing.B) {
-			if mode.workers > 0 {
-				defer setWorkers(mode.workers)()
-			}
-			r := rand.New(rand.NewSource(2))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m := NewExtraTrees(DefaultForestConfig(), r)
-				if err := m.Fit(X, y); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkPredictBatch scores an acquisition-pool-sized batch (1000
-// points, the paper's NCandidates) through the batch path vs the
-// point-by-point fallback.
-func BenchmarkPredictBatch(b *testing.B) {
-	X, y := benchData(100, 4)
-	pool := make([][]float64, 1000)
-	r := rand.New(rand.NewSource(9))
-	for i := range pool {
-		pool[i] = []float64{r.Float64(), r.Float64(), r.Float64(), r.Float64()}
-	}
-	models := []struct {
-		name string
-		m    Model
-	}{
-		{"ET", NewExtraTrees(DefaultForestConfig(), rand.New(rand.NewSource(2)))},
-		{"GBRT", NewGBRT(DefaultGBRTConfig(), rand.New(rand.NewSource(3)))},
-		{"GP", NewGP(DefaultGPConfig())},
-	}
-	for _, mm := range models {
-		if err := mm.m.Fit(X, y); err != nil {
-			b.Fatal(err)
-		}
-		b.Run(mm.name+"/batch", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				PredictBatch(mm.m, pool)
-			}
-		})
-		b.Run(mm.name+"/pointwise", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for _, x := range pool {
-					mm.m.PredictWithStd(x)
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkGBRTFit(b *testing.B) {
 	X, y := benchData(100, 4)
 	r := rand.New(rand.NewSource(3))

@@ -5,11 +5,13 @@ import (
 	"sync"
 )
 
-// numWorkers sizes the worker pool shared by parallel fits and batch
-// predictions. It defaults to GOMAXPROCS; tests override it (via
-// setWorkers) to force the sequential path when checking that parallel and
-// sequential execution produce identical results.
-var numWorkers = runtime.GOMAXPROCS(0)
+// numWorkers, when nonzero, sizes the worker pool shared by parallel fits
+// and batch predictions; tests set it (via setWorkers) to force the
+// sequential path when checking that parallel and sequential execution
+// produce identical results. Zero sizes the pool by GOMAXPROCS at each
+// call, so a caller that lowers GOMAXPROCS (testing.AllocsPerRun pins it to
+// 1) gets the inline path.
+var numWorkers int
 
 // setWorkers overrides the pool size and returns a restore function. It is
 // a test hook; production code never calls it.
@@ -40,6 +42,9 @@ func parallelFor(n, minPerWorker int, fn func(lo, hi int)) {
 		minPerWorker = 1
 	}
 	workers := numWorkers
+	if workers == 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	if maxW := n / minPerWorker; workers > maxW {
 		workers = maxW
 	}

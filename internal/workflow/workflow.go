@@ -182,16 +182,6 @@ func (r *Report) Succeeded() bool {
 	return true
 }
 
-// FirstError returns the error of the earliest failed task, or nil.
-func (r *Report) FirstError() error {
-	for _, name := range r.Order {
-		if err, ok := r.Errors[name]; ok {
-			return fmt.Errorf("workflow: task %q: %w", name, err)
-		}
-	}
-	return nil
-}
-
 // Run executes the workflow in dependency order. Tasks whose dependencies
 // failed (directly or transitively) are skipped, everything else still
 // runs — matching E2Clab's behaviour of finalizing what it can.

@@ -77,8 +77,8 @@ func TestFailurePropagation(t *testing.T) {
 	if rep.Succeeded() {
 		t.Error("Succeeded() = true with a failure")
 	}
-	if !errors.Is(rep.FirstError(), boom) {
-		t.Errorf("FirstError = %v", rep.FirstError())
+	if !errors.Is(rep.Errors["deploy"], boom) {
+		t.Errorf("deploy error = %v", rep.Errors["deploy"])
 	}
 }
 

@@ -10,16 +10,16 @@
 # scenario suite runner, tune's concurrent trial executor, space
 # transforms it exercises), and runs the allocation-regression gate: the
 # kernel's steady-state zero-alloc contracts (sim/alloc_test.go) must
-# hold, or the freelist/calendar work of PR 3 has silently rotted. A single-P gate re-runs the shard tests under
-# GOMAXPROCS=1, so a shard barrier that needs a second P to make progress
-# fails CI instead of hanging a user's run. Last, it gates the nested
-# bench/ module (the repository benchmark), which the root-module gates
-# above cannot see: vet, the smoke test that drives every workload at a
-# tiny size — the only end-to-end run of the sharded edge-scale suite —
-# and simlint over it.
-# For wall-clock trends, diff bench snapshots with scripts/bench_compare.sh
-# (flags >10% ns/op or allocs/op growth between two scripts/bench.sh
-# outputs) and render the committed history with scripts/bench_report.sh.
+# hold, or the kernel's freelist/calendar pooling has silently rotted, and
+# TestAllocCeilings (alloc_test.go) caps the allocations of the surrogate,
+# ask/tell, campaign, sharded-kernel and Table II/III hot paths. A single-P
+# gate re-runs the shard tests under GOMAXPROCS=1, so a shard barrier that
+# needs a second P to make progress fails CI instead of hanging a user's
+# run. Last, it gates the nested bench/ module (the repository benchmark,
+# which owns every timing measurement), which the root-module gates above
+# cannot see: vet, the smoke test that drives every workload at a tiny
+# size — the only end-to-end run of the sharded edge-scale suite — and
+# simlint over it.
 #
 # Each gate's wall-clock time is reported at exit (also on failure) so a
 # creeping gate shows up in CI logs before it becomes the bottleneck. When
@@ -100,8 +100,9 @@ gate chaos-race go test -race -count=1 -run 'Fault|Chaos|Resilien|Availability|F
     ./internal/plantnet/ ./internal/scenario/
 # Allocation-regression gate: -count=1 forces a real (uncached) run. The
 # sharded coordinator's steady-state window loop carries the same contract
-# (TestZeroAllocShardWindows).
-gate zero-alloc go test -run 'TestZeroAlloc' -count=1 ./internal/sim/ ./internal/sim/shard/
+# (TestZeroAllocShardWindows); TestAllocCeilings bounds the hot paths above
+# the kernel.
+gate zero-alloc go test -run 'TestZeroAlloc|TestAllocCeilings' -count=1 . ./internal/sim/ ./internal/sim/shard/
 # Single-P gate: the sharded tests with one P, where the barrier's helpers
 # share it with the coordinator (TestShardBarrierStress) and sharded runs
 # go inline; the timeout turns a barrier hang into a failure.
