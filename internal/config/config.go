@@ -168,7 +168,7 @@ type VariableConfig struct {
 
 // SearchConfig selects the search algorithm (Listing 1 parameters).
 type SearchConfig struct {
-	Algorithm             string `json:"algorithm,omitempty"` // skopt | random | ga | de | sa | pso
+	Algorithm             string `json:"algorithm,omitempty"` // skopt | random | ga | de | sa | pso | tabu
 	BaseEstimator         string `json:"base_estimator,omitempty"`
 	NInitialPoints        int    `json:"n_initial_points,omitempty"`
 	InitialPointGenerator string `json:"initial_point_generator,omitempty"`
@@ -184,8 +184,24 @@ func LoadOptimizer(path string) (*Optimizer, error) {
 	return &o, nil
 }
 
-// BuildSpec converts the configuration into a core.Spec.
+// BuildSpec converts the configuration into a core.Spec. A zero protocol
+// value means "use the default"; a negative one is rejected rather than
+// silently replaced by it.
 func (o *Optimizer) BuildSpec() (core.Spec, error) {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"num_samples", float64(o.NumSamples)},
+		{"max_concurrent", float64(o.MaxConcurrent)},
+		{"repeat", float64(o.Repeat)},
+		{"repeat_parallelism", float64(o.RepeatParallelism)},
+		{"duration", o.Duration},
+	} {
+		if f.v < 0 {
+			return core.Spec{}, fmt.Errorf("config: %s must not be negative, got %v", f.name, f.v)
+		}
+	}
 	problem, err := o.Problem.Build()
 	if err != nil {
 		return core.Spec{}, err

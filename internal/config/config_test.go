@@ -3,6 +3,7 @@ package config
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"e2clab/internal/space"
@@ -161,6 +162,36 @@ func TestLoadOptimizerListing1(t *testing.T) {
 	if spec.NumSamples != 10 || spec.MaxConcurrent != 2 || !spec.UseASHA ||
 		spec.Repeat != 6 || spec.Duration != 1380 || spec.Seed != 42 {
 		t.Errorf("protocol = %+v", spec)
+	}
+}
+
+func TestBuildSpecRejectsNegativeProtocol(t *testing.T) {
+	cases := []struct {
+		name string
+		set  func(o *Optimizer)
+	}{
+		{"num_samples", func(o *Optimizer) { o.NumSamples = -4 }},
+		{"max_concurrent", func(o *Optimizer) { o.MaxConcurrent = -2 }},
+		{"repeat", func(o *Optimizer) { o.Repeat = -3 }},
+		{"repeat_parallelism", func(o *Optimizer) { o.RepeatParallelism = -1 }},
+		{"duration", func(o *Optimizer) { o.Duration = -5 }},
+	}
+	base, err := LoadOptimizer(writeFile(t, "opt.json", paperOptimizer))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cases {
+		o := *base
+		c.set(&o)
+		if _, err := o.BuildSpec(); err == nil || !strings.Contains(err.Error(), c.name) {
+			t.Errorf("negative %s: err = %v, want a rejection naming it", c.name, err)
+		}
+	}
+	// Zero still means "use the default".
+	o := *base
+	o.NumSamples, o.MaxConcurrent, o.Repeat, o.RepeatParallelism, o.Duration = 0, 0, 0, 0, 0
+	if _, err := o.BuildSpec(); err != nil {
+		t.Errorf("zero protocol values rejected: %v", err)
 	}
 }
 

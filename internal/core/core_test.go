@@ -66,92 +66,6 @@ func TestExperimentValidationErrors(t *testing.T) {
 	}
 }
 
-func TestServiceRegistry(t *testing.T) {
-	r := NewRegistry()
-	svc := &PlantNetService{}
-	if err := r.Register(svc); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Register(svc); err == nil {
-		t.Error("duplicate registration accepted")
-	}
-	if err := r.Register(nil); err == nil {
-		t.Error("nil service accepted")
-	}
-	if _, ok := r.Get("plantnet_engine"); !ok {
-		t.Error("registered service not found")
-	}
-	if names := r.Names(); len(names) != 1 || names[0] != "plantnet_engine" {
-		t.Errorf("Names = %v", names)
-	}
-}
-
-func TestDeployServicesInvokesUserLogic(t *testing.T) {
-	e := paperExperiment()
-	// Only keep the engine layer so one registered service suffices.
-	e.Layers = e.Layers[:1]
-	e.Network = nil
-	d, err := e.Deploy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.ReleaseAll()
-	r := NewRegistry()
-	svc := &PlantNetService{}
-	if err := r.Register(svc); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.DeployServices(e, d); err != nil {
-		t.Fatal(err)
-	}
-	if len(svc.Deployed) != 1 || svc.Deployed[0] != plantnet.Baseline {
-		t.Errorf("service deploy saw %+v", svc.Deployed)
-	}
-}
-
-func TestDeployServicesMissingImplementation(t *testing.T) {
-	e := paperExperiment()
-	e.Layers = e.Layers[:1]
-	e.Network = nil
-	d, err := e.Deploy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.ReleaseAll()
-	if err := NewRegistry().DeployServices(e, d); err == nil {
-		t.Error("missing implementation not reported")
-	}
-}
-
-func TestPlantNetServiceRequiresGPU(t *testing.T) {
-	svc := &PlantNetService{}
-	node := &testbed.Node{ID: "gros-1", Spec: testbed.NodeSpec{}}
-	if err := svc.Deploy([]*testbed.Node{node}, nil); err == nil {
-		t.Error("GPU-less node accepted")
-	}
-	if err := svc.Deploy(nil, nil); err == nil {
-		t.Error("empty node list accepted")
-	}
-}
-
-func TestPoolConfigFromEnv(t *testing.T) {
-	cfg, err := PoolConfigFromEnv(map[string]string{"http": "54", "download": "54", "extract": "7", "simsearch": "53"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg != plantnet.PreliminaryOptimum {
-		t.Errorf("cfg = %+v", cfg)
-	}
-	// Defaults fill missing keys.
-	cfg, err = PoolConfigFromEnv(nil)
-	if err != nil || cfg != plantnet.Baseline {
-		t.Errorf("default cfg = %+v, err %v", cfg, err)
-	}
-	if _, err := PoolConfigFromEnv(map[string]string{"http": "lots"}); err == nil {
-		t.Error("bad value accepted")
-	}
-}
-
 // TestListing1Reproduction runs the full user-facing stack of Listing 1:
 // SkOpt search (ET, LHS, gp_hedge) + ConcurrencyLimiter(2) + ASHA +
 // num_samples on the Pl@ntNet problem, against a fast synthetic surface,

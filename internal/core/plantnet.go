@@ -1,73 +1,9 @@
 package core
 
 import (
-	"fmt"
-
 	"e2clab/internal/plantnet"
 	"e2clab/internal/rngutil"
-	"e2clab/internal/testbed"
 )
-
-// PlantNetService is the user-defined E2Clab service for the Pl@ntNet
-// Identification Engine — the service the paper's authors had to implement
-// to support their application (Section V-C). Deploy validates the target
-// nodes (the engine needs a GPU, hence chifflot) and parses the thread-pool
-// environment.
-type PlantNetService struct {
-	// Deployed records each deployment's parsed configuration.
-	Deployed []plantnet.PoolConfig
-}
-
-// Name implements Service.
-func (s *PlantNetService) Name() string { return "plantnet_engine" }
-
-// Deploy implements Service.
-func (s *PlantNetService) Deploy(nodes []*testbed.Node, env map[string]string) error {
-	if len(nodes) == 0 {
-		return fmt.Errorf("plantnet service: no nodes")
-	}
-	for _, n := range nodes {
-		if n.Spec.GPU == nil {
-			return fmt.Errorf("plantnet service: node %s has no GPU (the Identification Engine requires one)", n.ID)
-		}
-	}
-	cfg, err := PoolConfigFromEnv(env)
-	if err != nil {
-		return err
-	}
-	s.Deployed = append(s.Deployed, cfg)
-	return nil
-}
-
-// PoolConfigFromEnv parses the Table II pool sizes from a service env.
-func PoolConfigFromEnv(env map[string]string) (plantnet.PoolConfig, error) {
-	get := func(k string, def int) (int, error) {
-		v, ok := env[k]
-		if !ok {
-			return def, nil
-		}
-		var n int
-		if _, err := fmt.Sscanf(v, "%d", &n); err != nil {
-			return 0, fmt.Errorf("plantnet service: bad %s=%q", k, v)
-		}
-		return n, nil
-	}
-	var cfg plantnet.PoolConfig
-	var err error
-	if cfg.HTTP, err = get("http", plantnet.Baseline.HTTP); err != nil {
-		return cfg, err
-	}
-	if cfg.Download, err = get("download", plantnet.Baseline.Download); err != nil {
-		return cfg, err
-	}
-	if cfg.Extract, err = get("extract", plantnet.Baseline.Extract); err != nil {
-		return cfg, err
-	}
-	if cfg.Simsearch, err = get("simsearch", plantnet.Baseline.Simsearch); err != nil {
-		return cfg, err
-	}
-	return cfg, cfg.Validate()
-}
 
 // PlantNetObjective builds the paper's UserResponseTime objective function:
 // each model evaluation deploys the engine with the candidate thread-pool

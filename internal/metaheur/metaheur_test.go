@@ -146,7 +146,7 @@ func TestIntegerSpace(t *testing.T) {
 
 func TestPenalizedConstraintHandling(t *testing.T) {
 	p := space.PlantNetProblem()
-	p.AddConstraint("http_le_40", func(x []float64) float64 { return x[0] - 40 })
+	p.Constraints = []space.Constraint{{Name: "http_le_40", Fn: func(x []float64) float64 { return x[0] - 40 }}}
 	// Unconstrained optimum at http=60, but constraint forces http<=40.
 	fn := Penalized(p, func(x []float64) float64 { return -x[0] }, 1e6)
 	res := DE{Seed: 13}.Minimize(p.Space, fn, 1500)

@@ -58,41 +58,6 @@ func NewProblem(name string, s *Space, obj Objective) *Problem {
 	return &Problem{Name: name, Space: s, Objectives: []Objective{obj}}
 }
 
-// AddConstraint appends an inequality constraint and returns the problem for
-// chaining.
-func (p *Problem) AddConstraint(name string, fn func(x []float64) float64) *Problem {
-	p.Constraints = append(p.Constraints, Constraint{Name: name, Fn: fn})
-	return p
-}
-
-// AddEquality appends an equality constraint with tolerance tol.
-func (p *Problem) AddEquality(name string, fn func(x []float64) float64, tol float64) *Problem {
-	p.Equalities = append(p.Equalities, Equality{Name: name, Fn: fn, Tol: tol})
-	return p
-}
-
-// Feasible reports whether x satisfies every constraint (bounds included).
-func (p *Problem) Feasible(x []float64) bool {
-	if !p.Space.Contains(x) {
-		return false
-	}
-	for _, c := range p.Constraints {
-		if c.Fn(x) > 0 {
-			return false
-		}
-	}
-	for _, e := range p.Equalities {
-		tol := e.Tol
-		if tol == 0 {
-			tol = 1e-9
-		}
-		if math.Abs(e.Fn(x)) > tol {
-			return false
-		}
-	}
-	return true
-}
-
 // Violation returns the total constraint violation of x: the sum of positive
 // inequality values and absolute equality residuals beyond tolerance. Zero
 // means feasible. Metaheuristics use it for penalty-based handling.

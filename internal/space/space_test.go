@@ -212,34 +212,57 @@ func TestEquation2Problem(t *testing.T) {
 	if p.Objectives[0].Mode != Min || p.Objectives[0].Name != "user_resp_time" {
 		t.Errorf("objective %+v, want min user_resp_time", p.Objectives[0])
 	}
-	if !p.Feasible([]float64{40, 40, 40, 7}) {
-		t.Error("baseline configuration must be feasible")
+	if v := p.Violation([]float64{40, 40, 40, 7}); v != 0 {
+		t.Errorf("baseline configuration has violation %v, want 0", v)
 	}
-	if p.Feasible([]float64{61, 40, 40, 7}) {
-		t.Error("http=61 should violate bounds")
+	if v := p.Violation([]float64{61, 40, 40, 7}); v != 1 {
+		t.Errorf("http=61 violation %v, want 1 (one above the bound)", v)
 	}
 }
 
 func TestProblemConstraints(t *testing.T) {
-	p := PlantNetProblem()
 	// Paper: "the maximum response time must be less than 3 seconds" style
 	// metric constraint, expressed here on a variable for testability.
-	p.AddConstraint("http_le_55", func(x []float64) float64 { return x[0] - 55 })
-	if p.Feasible([]float64{56, 40, 40, 7}) {
-		t.Error("constraint http<=55 not enforced")
+	p := PlantNetProblem()
+	p.Constraints = []Constraint{{Name: "http_le_55", Fn: func(x []float64) float64 { return x[0] - 55 }}}
+	for _, c := range []struct {
+		x    []float64
+		want float64
+	}{
+		{[]float64{56, 40, 40, 7}, 1}, // constraint http<=55 enforced
+		{[]float64{55, 40, 40, 7}, 0}, // boundary point is feasible
+		{[]float64{58, 40, 40, 7}, 3},
+	} {
+		if v := p.Violation(c.x); math.Abs(v-c.want) > 1e-12 {
+			t.Errorf("inequality: Violation(%v) = %v, want %v", c.x, v, c.want)
+		}
 	}
-	if !p.Feasible([]float64{55, 40, 40, 7}) {
-		t.Error("boundary point should be feasible")
+
+	// Equalities count only the residual beyond their tolerance.
+	sum := func(x []float64) float64 { return x[0] + x[1] - 80 }
+	p = PlantNetProblem()
+	p.Equalities = []Equality{{Name: "sum", Fn: sum, Tol: 0.5}}
+	for _, c := range []struct {
+		x    []float64
+		want float64
+	}{
+		{[]float64{40, 40, 40, 7}, 0},    // zero residual
+		{[]float64{40.25, 40, 40, 7}, 0}, // residual 0.25 inside Tol
+		{[]float64{42, 40, 40, 7}, 1.5},  // residual 2 beyond Tol 0.5
+	} {
+		if v := p.Violation(c.x); math.Abs(v-c.want) > 1e-12 {
+			t.Errorf("equality: Violation(%v) = %v, want %v", c.x, v, c.want)
+		}
 	}
-	if v := p.Violation([]float64{58, 40, 40, 7}); math.Abs(v-3) > 1e-12 {
-		t.Errorf("Violation = %v, want 3", v)
+
+	// Tol 0 means the default tolerance 1e-9, not an exact match.
+	p.Equalities = []Equality{{Name: "sum", Fn: func(x []float64) float64 { return sum(x) + 5e-10 }}}
+	if v := p.Violation([]float64{40, 40, 40, 7}); v != 0 {
+		t.Errorf("residual 5e-10 under default Tol: Violation = %v, want 0", v)
 	}
-	p.AddEquality("sum", func(x []float64) float64 { return x[0] + x[1] - 80 }, 0.5)
-	if !p.Feasible([]float64{40, 40, 40, 7}) {
-		t.Error("equality at zero residual should pass")
-	}
-	if p.Feasible([]float64{42, 40, 40, 7}) {
-		t.Error("equality residual 2 > tol 0.5 should fail")
+	p.Equalities = []Equality{{Name: "sum", Fn: func(x []float64) float64 { return sum(x) + 1e-6 }}}
+	if v := p.Violation([]float64{40, 40, 40, 7}); math.Abs(v-(1e-6-1e-9)) > 1e-15 {
+		t.Errorf("residual 1e-6 over default Tol: Violation = %v, want %v", v, 1e-6-1e-9)
 	}
 }
 

@@ -25,9 +25,6 @@ type AsyncHyperBand struct {
 	seen  map[int]map[int]bool // rung iteration -> trial IDs already recorded there
 }
 
-// Name implements Scheduler.
-func (a *AsyncHyperBand) Name() string { return "async_hyperband" }
-
 func (a *AsyncHyperBand) defaults() (grace, eta, maxT int) {
 	grace, eta, maxT = a.GracePeriod, a.ReductionFactor, a.MaxT
 	if grace <= 0 {

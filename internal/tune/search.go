@@ -30,96 +30,3 @@ func (r *RandomSearch) Ask() []float64 {
 
 // Tell implements SearchAlgorithm (random search does not learn).
 func (r *RandomSearch) Tell([]float64, float64) {}
-
-// ListSearch replays a fixed list of configurations — used for the OAT
-// sensitivity sweeps of Section IV-C and for baseline-vs-optimum
-// comparisons. Asks beyond the list cycle back to the start.
-type ListSearch struct {
-	Configs [][]float64
-	next    int
-}
-
-// Ask implements SearchAlgorithm.
-func (l *ListSearch) Ask() []float64 {
-	x := l.Configs[l.next%len(l.Configs)]
-	l.next++
-	return append([]float64(nil), x...)
-}
-
-// Tell implements SearchAlgorithm.
-func (l *ListSearch) Tell([]float64, float64) {}
-
-// GridSearch enumerates the full cross product of per-dimension levels
-// (integer dimensions enumerate every value; float dimensions use Levels
-// evenly spaced points). Asks beyond the grid cycle.
-type GridSearch struct {
-	Space  *space.Space
-	Levels int // float-dimension resolution (default 5)
-	grid   [][]float64
-	next   int
-}
-
-// Ask implements SearchAlgorithm.
-func (g *GridSearch) Ask() []float64 {
-	if g.grid == nil {
-		g.build()
-	}
-	x := g.grid[g.next%len(g.grid)]
-	g.next++
-	return append([]float64(nil), x...)
-}
-
-// Tell implements SearchAlgorithm.
-func (g *GridSearch) Tell([]float64, float64) {}
-
-// Size returns the number of grid points.
-func (g *GridSearch) Size() int {
-	if g.grid == nil {
-		g.build()
-	}
-	return len(g.grid)
-}
-
-func (g *GridSearch) build() {
-	levels := g.Levels
-	if levels < 2 {
-		levels = 5
-	}
-	axes := make([][]float64, g.Space.Len())
-	for i := 0; i < g.Space.Len(); i++ {
-		d := g.Space.Dim(i)
-		switch d.Kind {
-		case space.IntKind:
-			for v := d.Low; v <= d.High; v++ {
-				axes[i] = append(axes[i], v)
-			}
-		case space.CategoricalKind:
-			for c := range d.Categories {
-				axes[i] = append(axes[i], float64(c))
-			}
-		default:
-			for k := 0; k < levels; k++ {
-				axes[i] = append(axes[i], d.Low+(d.High-d.Low)*float64(k)/float64(levels-1))
-			}
-		}
-	}
-	idx := make([]int, len(axes))
-	for {
-		x := make([]float64, len(axes))
-		for i, a := range axes {
-			x[i] = a[idx[i]]
-		}
-		g.grid = append(g.grid, x)
-		i := 0
-		for ; i < len(axes); i++ {
-			idx[i]++
-			if idx[i] < len(axes[i]) {
-				break
-			}
-			idx[i] = 0
-		}
-		if i == len(axes) {
-			return
-		}
-	}
-}

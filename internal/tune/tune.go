@@ -5,13 +5,11 @@
 // ConcurrencyLimiter(max_concurrent=2) and AsyncHyperBandScheduler).
 //
 // Trials run on goroutines; the search algorithm is consulted under a lock,
-// so any ask/tell optimizer (package bo, random/grid/list search) can drive
-// the loop.
+// so any ask/tell optimizer (package bo, random search) can drive the loop.
 package tune
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"e2clab/internal/space"
@@ -90,7 +88,6 @@ type Scheduler interface {
 	OnReport(trialID, iteration int, value float64) Decision
 	// OnDone is called when a trial finishes or is stopped.
 	OnDone(trialID int)
-	Name() string
 }
 
 // FIFOScheduler never stops trials (tune's default).
@@ -101,9 +98,6 @@ func (FIFOScheduler) OnReport(int, int, float64) Decision { return Continue }
 
 // OnDone implements Scheduler.
 func (FIFOScheduler) OnDone(int) {}
-
-// Name implements Scheduler.
-func (FIFOScheduler) Name() string { return "fifo" }
 
 // Context is handed to the objective for intermediate reporting.
 type Context struct {
@@ -151,10 +145,6 @@ type RunConfig struct {
 	MaxConcurrent int
 	// Scheduler early-stops trials; nil means FIFO.
 	Scheduler Scheduler
-	// Logger, when set, receives one event per trial state change
-	// ("started", "completed", "stopped", "failed") — tune's experiment
-	// logging. It is called under the runner's lock; keep it fast.
-	Logger func(event string, trial *Trial)
 }
 
 // Run executes the tuning loop: ask the search algorithm, evaluate in
@@ -197,9 +187,6 @@ func Run(cfg RunConfig, search SearchAlgorithm, objective Objective) (*Analysis,
 		x := search.Ask()
 		trial := &Trial{ID: i, Config: append([]float64(nil), x...), Status: Running}
 		trials = append(trials, trial)
-		if cfg.Logger != nil {
-			cfg.Logger("started", trial)
-		}
 		mu.Unlock()
 
 		wg.Add(1)
@@ -222,9 +209,6 @@ func Run(cfg RunConfig, search SearchAlgorithm, objective Objective) (*Analysis,
 				trial.Status = Completed
 				trial.Value = v
 				search.Tell(trial.Config, sign*v)
-			}
-			if cfg.Logger != nil {
-				cfg.Logger(trial.Status.String(), trial)
 			}
 			sched.OnDone(trial.ID)
 		}()
@@ -270,26 +254,4 @@ func (a *Analysis) CountByStatus() map[Status]int {
 		m[t.Status]++
 	}
 	return m
-}
-
-// Sorted returns trials ordered best-first according to Mode; failed trials
-// come last.
-func (a *Analysis) Sorted() []*Trial {
-	out := append([]*Trial(nil), a.Trials...)
-	sort.SliceStable(out, func(i, j int) bool {
-		ti, tj := out[i], out[j]
-		okI := ti.Status == Completed || ti.Status == Stopped
-		okJ := tj.Status == Completed || tj.Status == Stopped
-		if okI != okJ {
-			return okI
-		}
-		if !okI {
-			return false
-		}
-		if a.Mode == space.Max {
-			return ti.Value > tj.Value
-		}
-		return ti.Value < tj.Value
-	})
-	return out
 }

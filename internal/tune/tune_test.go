@@ -110,13 +110,6 @@ func TestFailedTrialsRecorded(t *testing.T) {
 	if best == nil || best.Status != Completed {
 		t.Error("Best should skip failed trials")
 	}
-	// Failed trials sort last.
-	sorted := a.Sorted()
-	for _, tr := range sorted[:3] {
-		if tr.Status != Completed {
-			t.Error("completed trials should sort first")
-		}
-	}
 }
 
 func TestAllTrialsFailed(t *testing.T) {
@@ -143,10 +136,6 @@ func TestModeMaxSelectsLargest(t *testing.T) {
 		if tr.Value > best.Value {
 			t.Errorf("trial %v better than Best %v under Max", tr.Value, best.Value)
 		}
-	}
-	sorted := a.Sorted()
-	if sorted[0].ID != best.ID {
-		t.Error("Sorted()[0] != Best()")
 	}
 }
 
@@ -177,51 +166,6 @@ func TestBOIntegrationListing1(t *testing.T) {
 	}
 	if best.Value > 2.55 {
 		t.Errorf("best %v at %v — BO failed to descend", best.Value, best.Config)
-	}
-}
-
-func TestListSearchReplaysConfigs(t *testing.T) {
-	cfgs := [][]float64{{1, 2}, {3, 4}, {5, 6}}
-	ls := &ListSearch{Configs: cfgs}
-	for i := 0; i < 6; i++ {
-		x := ls.Ask()
-		want := cfgs[i%3]
-		if x[0] != want[0] || x[1] != want[1] {
-			t.Fatalf("ask %d = %v, want %v", i, x, want)
-		}
-	}
-	// Returned slices are copies.
-	x := ls.Ask()
-	x[0] = -1
-	if cfgs[0][0] == -1 {
-		t.Error("ListSearch leaked internal slice")
-	}
-}
-
-func TestGridSearchEnumeratesIntSpace(t *testing.T) {
-	s := space.New(space.Int("a", 1, 3), space.Int("b", 0, 1))
-	g := &GridSearch{Space: s}
-	if g.Size() != 6 {
-		t.Fatalf("Size = %d, want 6", g.Size())
-	}
-	seen := map[string]bool{}
-	for i := 0; i < 6; i++ {
-		seen[s.Format(g.Ask())] = true
-	}
-	if len(seen) != 6 {
-		t.Errorf("grid visited %d distinct configs, want 6", len(seen))
-	}
-}
-
-func TestGridSearchFloatLevels(t *testing.T) {
-	s := space.New(space.Float("x", 0, 1))
-	g := &GridSearch{Space: s, Levels: 3}
-	want := []float64{0, 0.5, 1}
-	for _, w := range want {
-		x := g.Ask()
-		if math.Abs(x[0]-w) > 1e-12 {
-			t.Errorf("grid level = %v, want %v", x[0], w)
-		}
 	}
 }
 
@@ -328,7 +272,6 @@ type stopAllScheduler struct{}
 
 func (stopAllScheduler) OnReport(int, int, float64) Decision { return Stop }
 func (stopAllScheduler) OnDone(int)                          {}
-func (stopAllScheduler) Name() string                        { return "stopall" }
 
 func TestStatusString(t *testing.T) {
 	want := map[Status]string{Pending: "pending", Running: "running",
@@ -367,60 +310,6 @@ func (c *countingSearch) Ask() []float64 { return c.inner.Ask() }
 func (c *countingSearch) Tell(x []float64, y float64) {
 	atomic.AddInt64(c.tells, 1)
 	c.inner.Tell(x, y)
-}
-
-func TestMedianStoppingRule(t *testing.T) {
-	m := &MedianStopping{GracePeriod: 2, MinTrials: 2}
-	// Three good peers reporting at iterations 1..3.
-	for _, id := range []int{0, 1, 2} {
-		for it := 1; it <= 3; it++ {
-			if d := m.OnReport(id, it, 1.0); d != Continue {
-				t.Fatalf("good trial %d stopped at iteration %d", id, it)
-			}
-		}
-	}
-	// A bad trial: value far above the peers' median running average.
-	if d := m.OnReport(9, 1, 10); d != Continue {
-		t.Error("stopped during grace period")
-	}
-	if d := m.OnReport(9, 2, 10); d != Stop {
-		t.Error("bad trial not stopped after grace period")
-	}
-}
-
-func TestMedianStoppingNeedsPeers(t *testing.T) {
-	m := &MedianStopping{GracePeriod: 1, MinTrials: 3}
-	// Only one peer: rule must not activate.
-	m.OnReport(0, 1, 1)
-	m.OnReport(0, 2, 1)
-	if d := m.OnReport(1, 2, 100); d != Continue {
-		t.Error("rule activated without enough peers")
-	}
-}
-
-func TestMedianStoppingInRunner(t *testing.T) {
-	s := unitSpace(1)
-	obj := func(ctx *Context, x []float64) (float64, error) {
-		for it := 1; it <= 20; it++ {
-			if !ctx.Report(it, x[0]) {
-				return x[0], nil
-			}
-		}
-		return x[0], nil
-	}
-	a, err := Run(RunConfig{NumSamples: 20, MaxConcurrent: 4,
-		Scheduler: &MedianStopping{GracePeriod: 3}},
-		&RandomSearch{Space: s, Seed: 8}, obj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := a.CountByStatus()
-	if counts[Stopped] == 0 {
-		t.Errorf("median rule never stopped a trial: %v", counts)
-	}
-	if counts[Completed] == 0 {
-		t.Errorf("median rule stopped everything: %v", counts)
-	}
 }
 
 func TestCheckpointSaveLoad(t *testing.T) {
@@ -513,35 +402,5 @@ func TestLoadRejectsUnknownMode(t *testing.T) {
 func TestLoadMissingFile(t *testing.T) {
 	if _, err := Load("/nonexistent/analysis.json"); err == nil {
 		t.Error("missing file accepted")
-	}
-}
-
-func TestLoggerReceivesLifecycleEvents(t *testing.T) {
-	s := unitSpace(1)
-	var events []string
-	logger := func(ev string, tr *Trial) { events = append(events, ev) }
-	obj := func(ctx *Context, x []float64) (float64, error) {
-		if ctx.TrialID() == 1 {
-			return 0, errors.New("boom")
-		}
-		return x[0], nil
-	}
-	if _, err := Run(RunConfig{NumSamples: 3, Logger: logger},
-		&RandomSearch{Space: s, Seed: 20}, obj); err != nil {
-		t.Fatal(err)
-	}
-	var started, completed, failed int
-	for _, ev := range events {
-		switch ev {
-		case "started":
-			started++
-		case "completed":
-			completed++
-		case "failed":
-			failed++
-		}
-	}
-	if started != 3 || completed != 2 || failed != 1 {
-		t.Errorf("events = %v", events)
 	}
 }

@@ -79,17 +79,3 @@ func (p *PiecewiseRate) At(t float64) float64 {
 	}
 	return p.Phases[len(p.Phases)-1].Rate
 }
-
-// MeanRate returns the duration-weighted average rate — the throughput a
-// stable system serving the profile converges to.
-func (p *PiecewiseRate) MeanRate() float64 {
-	total := p.TotalDuration()
-	if total <= 0 {
-		return 0
-	}
-	var s float64
-	for _, ph := range p.Phases {
-		s += ph.Rate * ph.DurationSeconds
-	}
-	return s / total
-}

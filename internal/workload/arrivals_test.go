@@ -45,8 +45,4 @@ func TestPiecewiseRateLookup(t *testing.T) {
 			t.Errorf("At(%v) = %v, want %v", c.t, got, c.want)
 		}
 	}
-	want := (2*10 + 8*20 + 4*10) / 40.0
-	if got := p.MeanRate(); math.Abs(got-want) > 1e-12 {
-		t.Errorf("MeanRate = %v, want %v", got, want)
-	}
 }

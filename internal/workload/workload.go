@@ -6,33 +6,10 @@
 package workload
 
 import (
-	"fmt"
 	"math"
-	"math/rand"
 
 	"e2clab/internal/rngutil"
 )
-
-// Spec is one experiment workload: a closed-loop population of simultaneous
-// requests, held constant for the experiment duration (the paper's 80, 120
-// and 140 request categories).
-type Spec struct {
-	// SimultaneousRequests is the closed-loop population size.
-	SimultaneousRequests int
-	// DurationSeconds is the experiment length (paper: 1380 s).
-	DurationSeconds float64
-}
-
-// Validate reports whether the spec is usable.
-func (s Spec) Validate() error {
-	if s.SimultaneousRequests < 1 {
-		return fmt.Errorf("workload: population %d", s.SimultaneousRequests)
-	}
-	if s.DurationSeconds <= 0 {
-		return fmt.Errorf("workload: duration %v", s.DurationSeconds)
-	}
-	return nil
-}
 
 // GrowthModel generates the Figure 2 new-users-per-week curve: a baseline
 // growing exponentially year over year, multiplied by a seasonal profile
@@ -129,26 +106,4 @@ func YearTotal(trace []WeekPoint, year int) float64 {
 		}
 	}
 	return s
-}
-
-// Poisson draws a Poisson-distributed count with the given mean.
-func Poisson(r *rand.Rand, mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 50 {
-		// Normal approximation for large means.
-		v := mean + math.Sqrt(mean)*r.NormFloat64()
-		if v < 0 {
-			return 0
-		}
-		return int(v + 0.5)
-	}
-	l := math.Exp(-mean)
-	k, p := 0, 1.0
-	for p > l {
-		k++
-		p *= r.Float64()
-	}
-	return k - 1
 }

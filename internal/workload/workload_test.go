@@ -1,19 +1,6 @@
 package workload
 
-import (
-	"math"
-	"math/rand"
-	"testing"
-)
-
-func TestSpecValidate(t *testing.T) {
-	if err := (Spec{SimultaneousRequests: 0, DurationSeconds: 10}).Validate(); err == nil {
-		t.Error("zero population accepted")
-	}
-	if err := (Spec{SimultaneousRequests: 10}).Validate(); err == nil {
-		t.Error("zero duration accepted")
-	}
-}
+import "testing"
 
 func TestGrowthTraceShape(t *testing.T) {
 	trace := DefaultGrowthModel().Generate()
@@ -76,23 +63,5 @@ func TestPeakWeekMissingYear(t *testing.T) {
 	trace := DefaultGrowthModel().Generate()
 	if w, _ := PeakWeek(trace, 1999); w != -1 {
 		t.Errorf("missing year returned week %d", w)
-	}
-}
-
-func TestPoissonMean(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	for _, mean := range []float64{0.5, 4, 20, 200} {
-		var sum float64
-		n := 20000
-		for i := 0; i < n; i++ {
-			sum += float64(Poisson(r, mean))
-		}
-		got := sum / float64(n)
-		if math.Abs(got-mean)/mean > 0.05 {
-			t.Errorf("Poisson(%v) empirical mean %v", mean, got)
-		}
-	}
-	if Poisson(r, 0) != 0 {
-		t.Error("Poisson(0) != 0")
 	}
 }

@@ -8,9 +8,11 @@
 # plantnet repeated-run pool — including the simulated-network link,
 # fault-schedule, resilience-policy, and piecewise-arrival code it drives —
 # scenario suite runner, tune's concurrent trial executor, space
-# transforms it exercises), and runs the allocation-regression gate: the
-# kernel's steady-state zero-alloc contracts (sim/alloc_test.go) must
-# hold, or the kernel's freelist/calendar pooling has silently rotted, and
+# transforms it exercises, and the optimization Manager whose trials share
+# its evaluation log and provenance archive), and runs the
+# allocation-regression gate: the kernel's steady-state zero-alloc
+# contracts (sim/alloc_test.go) must hold, or the kernel's
+# freelist/calendar pooling has silently rotted, and
 # TestAllocCeilings (alloc_test.go) caps the allocations of the surrogate,
 # ask/tell, campaign, sharded-kernel and Table II/III hot paths. A single-P
 # gate re-runs the shard tests under GOMAXPROCS=1, so a shard barrier that
@@ -69,7 +71,7 @@ race_pkgs=(
     ./internal/surrogate/... ./internal/bo/... ./internal/fault/...
     ./internal/resilience/... ./internal/plantnet/... ./internal/scenario/...
     ./internal/sim/... ./internal/workload/... ./internal/tune/...
-    ./internal/space/...
+    ./internal/space/... ./internal/core/... ./internal/provenance/...
 )
 
 # Formatting gate: gofmt -l lists unformatted files and exits 0, so any
