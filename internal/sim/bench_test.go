@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"math"
+	"testing"
+)
 
 // BenchmarkEventThroughput measures raw calendar throughput: schedule and
 // fire chained events.
@@ -24,10 +28,28 @@ func BenchmarkEventThroughput(b *testing.B) {
 }
 
 // BenchmarkProcessorSharing measures the PS resource with a steady
-// population of jobs arriving and completing.
+// population of jobs arriving and completing, at several population sizes
+// so the O(jobs) cost of each resource event shows. The weighted variants
+// keep one weight-2 job resident, which holds the resource on its general
+// per-job-rate path.
 func BenchmarkProcessorSharing(b *testing.B) {
+	for _, weighted := range []bool{false, true} {
+		for _, jobs := range []int{4, 64, 512} {
+			name := fmt.Sprintf("jobs=%d", jobs)
+			if weighted {
+				name = "weighted/" + name
+			}
+			b.Run(name, func(b *testing.B) { benchProcessorSharing(b, jobs, weighted) })
+		}
+	}
+}
+
+func benchProcessorSharing(b *testing.B, jobs int, weighted bool) {
 	e := NewEngine()
 	cpu := NewCPU(e, 8)
+	if weighted {
+		cpu.Add(math.MaxFloat64, 2, func() {})
+	}
 	done := 0
 	var spawn func()
 	spawn = func() {
@@ -38,7 +60,7 @@ func BenchmarkProcessorSharing(b *testing.B) {
 			}
 		})
 	}
-	for i := 0; i < 16; i++ {
+	for i := 0; i < jobs; i++ {
 		spawn()
 	}
 	b.ResetTimer()

@@ -165,3 +165,56 @@ func TestGPUThroughputCapProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestMG1PSMeanResponse is the kernel's queueing oracle: Poisson arrivals
+// on a one-core processor-sharing CPU form an M/G/1-PS queue, whose mean
+// response time is E[S]/(1-ρ) for any service distribution. Over 24 seeded
+// runs per case, the mean of the per-run means must lie within four
+// standard errors of it, the standard error taken from the spread of the
+// per-run means.
+func TestMG1PSMeanResponse(t *testing.T) {
+	const seeds = 24
+	for _, rho := range []float64{0.5, 0.8} {
+		for _, svc := range []Dist{Exponential{MeanV: 1}, Deterministic{V: 1}} {
+			want := svc.Mean() / (1 - rho)
+			var sum, sumSq float64
+			for seed := int64(1); seed <= seeds; seed++ {
+				m := mg1psMeanResponse(seed, rho, svc, 1000, 10000)
+				sum += m
+				sumSq += m * m
+			}
+			mean := sum / seeds
+			se := math.Sqrt((sumSq - seeds*mean*mean) / (seeds - 1) / seeds)
+			if math.Abs(mean-want) > 4*se {
+				t.Errorf("rho %v %T: mean response %.4f ± %.4f (1 s.e.), want %.4f", rho, svc, mean, se, want)
+			}
+		}
+	}
+}
+
+// mg1psMeanResponse runs warm+n Poisson arrivals at load rho and returns
+// the mean response time of the n arrivals after the first warm.
+func mg1psMeanResponse(seed int64, rho float64, svc Dist, warm, n int) float64 {
+	r := rand.New(rand.NewSource(seed))
+	e := NewEngine()
+	cpu := NewCPU(e, 1)
+	gap := Exponential{MeanV: svc.Mean() / rho}
+	var total float64
+	arrived := 0
+	var arrive func()
+	arrive = func() {
+		start, measured := e.Now(), arrived >= warm
+		arrived++
+		cpu.Add(svc.Sample(r), 1, func() {
+			if measured {
+				total += e.Now() - start
+			}
+		})
+		if arrived < warm+n {
+			e.Schedule(gap.Sample(r), arrive)
+		}
+	}
+	e.Schedule(gap.Sample(r), arrive)
+	e.Run(math.Inf(1))
+	return total / float64(n)
+}

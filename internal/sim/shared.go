@@ -16,6 +16,12 @@ import "math"
 //     extra concurrency only inflates per-inference latency — why extract=6
 //     is the response-time minimum and "the extract task time was not
 //     reduced when increasing the extract thread pool size".
+//
+// Each resource event walks the running jobs once. While every job has
+// weight 1, as every caller in this module submits, the next completion
+// follows from a running count of non-unit jobs and a cached minimum of
+// remaining work, with one divide; otherwise a second walk divides once
+// per job. Both paths produce the same bits.
 type SharedResource struct {
 	eng *Engine
 	// TotalRate maps the active weight sum to delivered aggregate rate
@@ -25,11 +31,23 @@ type SharedResource struct {
 	// accounting (e.g. number of cores).
 	MaxRate float64
 
-	// jobs is a dense, insertion-ordered slice: advance/reschedule walk it
-	// on every resource event, which made the old map representation (with
-	// its per-event iterator overhead and nondeterministic completion
-	// ordering) the single hottest path of a whole optimization run.
+	// jobs is a dense, insertion-ordered slice (insertion order is the
+	// completion order of simultaneous finishers). advance walks it once per
+	// resource event; reschedule walks it again only while some job's weight
+	// is not 1 (see nonUnit).
 	jobs []*sharedJob
+	// nonUnit counts running jobs whose weight is not 1. While it is 0 every
+	// job runs at the same rate total/w, so advance charges one precomputed
+	// step to each job and reschedule divides once, minRem/(total/w). That
+	// is bit-identical to the per-job 1*total/w arithmetic of the weighted
+	// path: 1*total == total, and correctly rounded division by a positive
+	// constant is monotone, so the min of the quotients is the quotient of
+	// the min.
+	nonUnit int
+	// minRem is the least remaining work over jobs (+Inf when there are
+	// none). The walk in advance recomputes it and Add folds in the new
+	// job's work; only removing the minimum job (Cancel) costs a rescan.
+	minRem float64
 	// freeJobs recycles completed/cancelled job nodes, so steady-state job
 	// churn allocates nothing. Nodes are generation-counted: a stale Job
 	// handle (completed, cancelled, or recycled) is detected in O(1).
@@ -52,7 +70,6 @@ type SharedResource struct {
 type sharedJob struct {
 	remaining float64
 	weight    float64
-	rate      float64
 	onDone    func()
 	gen       uint32
 }
@@ -90,6 +107,7 @@ func NewSharedResource(eng *Engine, maxRate float64, totalRate func(float64) flo
 		TotalRate: totalRate,
 		MaxRate:   maxRate,
 		lastT:     eng.Now(),
+		minRem:    math.Inf(1),
 	}
 	// Bind the next-completion callback here, once per resource, so the
 	// reschedule hot path never allocates a closure (it is annotated
@@ -135,7 +153,7 @@ func (s *SharedResource) allocJob(work, weight float64, onDone func()) *sharedJo
 	} else {
 		j = newSharedJob() //simlint:allow noallocclosure //go:noinline freelist-growth constructor; the hot path reuses pooled jobs
 	}
-	j.remaining, j.weight, j.rate, j.onDone = work, weight, 0, onDone
+	j.remaining, j.weight, j.onDone = work, weight, onDone
 	return j
 }
 
@@ -175,12 +193,19 @@ func (s *SharedResource) Add(work, weight float64, onDone func()) Job {
 	j := s.allocJob(work, weight, onDone)
 	s.jobs = append(s.jobs, j)
 	s.jobWeight += weight
+	if weight != 1 {
+		s.nonUnit++
+	}
+	if work < s.minRem {
+		s.minRem = work
+	}
 	s.reschedule()
 	return Job{s: s, j: j, gen: j.gen}
 }
 
 // removeJob drops j from the dense slice, preserving insertion order (which
-// keeps completion ordering deterministic), and updates the running weight.
+// keeps completion ordering deterministic), and updates the running weight,
+// the non-unit count and, if j held the minimum remaining work, minRem.
 //
 //simlint:noalloc
 func (s *SharedResource) removeJob(j *sharedJob) {
@@ -191,6 +216,17 @@ func (s *SharedResource) removeJob(j *sharedJob) {
 		}
 	}
 	s.jobWeight -= j.weight
+	if j.weight != 1 {
+		s.nonUnit--
+	}
+	if j.remaining <= s.minRem {
+		s.minRem = math.Inf(1)
+		for _, other := range s.jobs {
+			if other.remaining < s.minRem {
+				s.minRem = other.remaining
+			}
+		}
+	}
 	if len(s.jobs) == 0 {
 		s.jobWeight = 0
 	}
@@ -262,6 +298,7 @@ func (s *SharedResource) Reset(maxRate float64, totalRate func(float64) float64)
 	}
 	s.jobs = s.jobs[:0]
 	s.jobWeight, s.holds = 0, 0
+	s.nonUnit, s.minRem = 0, math.Inf(1)
 	s.nextEv, s.hasNext = Event{}, false
 	s.lastT = s.eng.Now()
 	s.workInt = 0
@@ -308,6 +345,7 @@ func (s *SharedResource) Crash() {
 	}
 	s.jobs = s.jobs[:0]
 	s.jobWeight, s.holds = 0, 0
+	s.nonUnit, s.minRem = 0, math.Inf(1)
 	if s.hasNext {
 		s.nextEv.Cancel()
 		s.hasNext = false
@@ -363,18 +401,32 @@ func (s *SharedResource) advance() {
 	// Survivors are compacted in place; their remaining work was already
 	// decremented at the old (slower) rate for this slice, which is the
 	// correct PS semantics.
+	uniform := s.nonUnit == 0
+	step := total / w * dt
+	minRem := math.Inf(1)
 	kept := s.jobs[:0]
 	for _, j := range s.jobs {
-		j.rate = j.weight * total / w
-		j.remaining -= j.rate * dt
+		if uniform {
+			j.remaining -= step
+		} else {
+			rate := j.weight * total / w
+			j.remaining -= rate * dt
+		}
 		if j.remaining <= eps {
 			s.jobWeight -= j.weight
+			if j.weight != 1 {
+				s.nonUnit--
+			}
 			s.eng.Schedule(0, j.onDone)
 			s.releaseJob(j)
 		} else {
 			kept = append(kept, j)
+			if j.remaining < minRem {
+				minRem = j.remaining
+			}
 		}
 	}
+	s.minRem = minRem
 	for i := len(kept); i < len(s.jobs); i++ {
 		s.jobs[i] = nil
 	}
@@ -407,12 +459,17 @@ func (s *SharedResource) reschedule() {
 		}
 		return
 	}
-	soonest := math.Inf(1)
-	for _, j := range s.jobs {
-		rate := j.weight * total / w
-		t := j.remaining / rate
-		if t < soonest {
-			soonest = t
+	var soonest float64
+	if s.nonUnit == 0 {
+		soonest = s.minRem / (total / w)
+	} else {
+		soonest = math.Inf(1)
+		for _, j := range s.jobs {
+			rate := j.weight * total / w
+			t := j.remaining / rate
+			if t < soonest {
+				soonest = t
+			}
 		}
 	}
 	// At large clock values now+soonest can collapse to exactly now (the

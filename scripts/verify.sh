@@ -14,7 +14,8 @@
 # contracts (sim/alloc_test.go) must hold, or the kernel's
 # freelist/calendar pooling has silently rotted, and
 # TestAllocCeilings (alloc_test.go) caps the allocations of the surrogate,
-# ask/tell, campaign, sharded-kernel and Table II/III hot paths. A single-P
+# ask/tell, campaign, sharded-kernel and Table II/III hot paths. A smoke gate
+# runs every kernel benchmark once. A single-P
 # gate re-runs the shard tests under GOMAXPROCS=1, so a shard barrier that
 # needs a second P to make progress fails CI instead of hanging a user's
 # run. Last, it gates the nested bench/ module (the repository benchmark,
@@ -105,6 +106,11 @@ gate chaos-race go test -race -count=1 -run 'Fault|Chaos|Resilien|Availability|F
 # (TestZeroAllocShardWindows); TestAllocCeilings bounds the hot paths above
 # the kernel.
 gate zero-alloc go test -run 'TestZeroAlloc|TestAllocCeilings' -count=1 . ./internal/sim/ ./internal/sim/shard/
+# Kernel benchmark gate: one iteration of every benchmark under
+# internal/sim, so a kernel benchmark that panics or stops building fails CI
+# (no other gate runs a Go benchmark). Timings here mean nothing; bench/
+# owns them.
+gate kernel-bench go test -run '^$' -bench . -benchtime 1x ./internal/sim/...
 # Single-P gate: the sharded tests with one P, where the barrier's helpers
 # share it with the coordinator (TestShardBarrierStress) and sharded runs
 # go inline; the timeout turns a barrier hang into a failure.
