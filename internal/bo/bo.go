@@ -41,8 +41,8 @@ import (
 // Config selects the optimizer's strategy; the zero value is completed with
 // the paper's defaults.
 type Config struct {
-	// BaseEstimator is the surrogate family: "ET", "RF", "GBRT", "GP",
-	// "TREE", "POLY", "LSSVM". Default "ET".
+	// BaseEstimator is the surrogate family, one of skopt's four: "ET",
+	// "RF", "GBRT", "GP". Default "ET".
 	BaseEstimator string
 	// NInitialPoints is the size of the space-filling design evaluated
 	// before the surrogate takes over. Default 10.

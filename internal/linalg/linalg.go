@@ -1,8 +1,9 @@
-// Package linalg provides the small dense linear-algebra kernel needed by
-// the surrogate models: matrix products, Cholesky factorization (Gaussian
-// process / Kriging), and Householder QR least squares (polynomial
-// regression). It is deliberately minimal — row-major float64, no views —
-// since surrogate training matrices here are at most a few hundred rows.
+// Package linalg provides the small dense linear-algebra kernel the
+// Gaussian-process (Kriging) surrogate needs: a row-major matrix, the
+// Cholesky factorization of its Gram matrix, and the single- and multi-RHS
+// triangular solves that use the factor. It is deliberately minimal — no
+// views — since surrogate training matrices here are at most a few hundred
+// rows.
 package linalg
 
 import (
@@ -24,18 +25,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// FromRows builds a matrix from row slices (copied).
-func FromRows(rows [][]float64) *Matrix {
-	m := NewMatrix(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.Cols {
-			panic("linalg: ragged rows")
-		}
-		copy(m.Data[i*m.Cols:(i+1)*m.Cols], r)
-	}
-	return m
-}
-
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
@@ -50,52 +39,6 @@ func (m *Matrix) Clone() *Matrix {
 	c := NewMatrix(m.Rows, m.Cols)
 	copy(c.Data, m.Data)
 	return c
-}
-
-// T returns the transpose as a new matrix.
-func (m *Matrix) T() *Matrix {
-	t := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			t.Set(j, i, m.At(i, j))
-		}
-	}
-	return t
-}
-
-// Mul returns m * b.
-func (m *Matrix) Mul(b *Matrix) *Matrix {
-	if m.Cols != b.Rows {
-		panic(fmt.Sprintf("linalg: mul shape mismatch %dx%d * %dx%d", m.Rows, m.Cols, b.Rows, b.Cols))
-	}
-	out := NewMatrix(m.Rows, b.Cols)
-	for i := 0; i < m.Rows; i++ {
-		mi := m.Row(i)
-		oi := out.Row(i)
-		for k := 0; k < m.Cols; k++ {
-			a := mi[k]
-			if a == 0 {
-				continue
-			}
-			bk := b.Row(k)
-			for j := range oi {
-				oi[j] += a * bk[j]
-			}
-		}
-	}
-	return out
-}
-
-// MulVec returns m * x.
-func (m *Matrix) MulVec(x []float64) []float64 {
-	if m.Cols != len(x) {
-		panic("linalg: mulvec shape mismatch")
-	}
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = Dot(m.Row(i), x)
-	}
-	return out
 }
 
 // Dot returns the inner product of a and b.
@@ -175,34 +118,6 @@ func (c *Cholesky) Solve(b []float64) []float64 {
 	return x
 }
 
-// SolveBatch solves A X = B column-wise for an n x m right-hand-side matrix,
-// reusing the factorization across all columns. Column j of the result is
-// bit-identical to Solve applied to column j of b: the per-column operation
-// order matches the single-RHS path exactly.
-func (c *Cholesky) SolveBatch(b *Matrix) *Matrix {
-	n := c.L.Rows
-	if b.Rows != n {
-		panic(fmt.Sprintf("linalg: cholesky batch solve shape mismatch %d rows, want %d", b.Rows, n))
-	}
-	y := c.SolveLBatch(b)
-	// Back substitution: Lᵀ X = Y, all columns per row at once.
-	for i := n - 1; i >= 0; i-- {
-		yi := y.Row(i)
-		for k := i + 1; k < n; k++ {
-			lki := c.L.At(k, i)
-			yk := y.Row(k)
-			for j := range yi {
-				yi[j] -= lki * yk[j]
-			}
-		}
-		d := c.L.At(i, i)
-		for j := range yi {
-			yi[j] /= d
-		}
-	}
-	return y
-}
-
 // SolveLBatch solves L Y = B column-wise for an n x m right-hand-side matrix
 // (multi-RHS forward substitution). The GP's batch predictor uses it to
 // reuse one Cholesky factor across a whole candidate pool instead of
@@ -255,92 +170,4 @@ func (c *Cholesky) LogDet() float64 {
 		s += math.Log(c.L.At(i, i))
 	}
 	return 2 * s
-}
-
-// LeastSquares solves min ||A x - b||₂ via Householder QR with column
-// protection against rank deficiency (tiny diagonal entries of R are
-// regularized). A has shape m x n with m >= n.
-func LeastSquares(a *Matrix, b []float64) ([]float64, error) {
-	m, n := a.Rows, a.Cols
-	if len(b) != m {
-		return nil, fmt.Errorf("linalg: lstsq rhs length %d != rows %d", len(b), m)
-	}
-	if m < n {
-		return nil, fmt.Errorf("linalg: lstsq underdetermined %dx%d", m, n)
-	}
-	r := a.Clone()
-	qtb := append([]float64(nil), b...)
-	// Householder reflections applied in place to R and qtb. The reflector
-	// applications are organized as row-major passes (one scratch entry per
-	// trailing column) so the inner loops walk contiguous row slices; per
-	// column the accumulation order over rows matches the textbook
-	// column-at-a-time formulation exactly.
-	scratch := make([]float64, n)
-	for k := 0; k < n; k++ {
-		// Compute the norm of column k below the diagonal.
-		var norm float64
-		for i := k; i < m; i++ {
-			norm = math.Hypot(norm, r.At(i, k))
-		}
-		if norm == 0 {
-			continue
-		}
-		// Give norm the sign of the diagonal element so the reflector pivot
-		// 1 + a_kk/norm stays >= 1 (numerically stable; the stored R
-		// diagonal is then -norm).
-		if r.At(k, k) < 0 {
-			norm = -norm
-		}
-		for i := k; i < m; i++ {
-			ri := r.Row(i)
-			ri[k] /= norm
-		}
-		r.Set(k, k, r.At(k, k)+1)
-		// Accumulate vᵀ·column for every remaining column and for b in one
-		// row-major sweep, then apply the rank-1 update in a second sweep.
-		for j := k + 1; j < n; j++ {
-			scratch[j] = 0
-		}
-		var sb float64
-		for i := k; i < m; i++ {
-			ri := r.Row(i)
-			v := ri[k]
-			for j := k + 1; j < n; j++ {
-				scratch[j] += v * ri[j]
-			}
-			sb += v * qtb[i]
-		}
-		pivot := r.At(k, k)
-		for j := k + 1; j < n; j++ {
-			scratch[j] = -scratch[j] / pivot
-		}
-		sb = -sb / pivot
-		for i := k; i < m; i++ {
-			ri := r.Row(i)
-			v := ri[k]
-			for j := k + 1; j < n; j++ {
-				ri[j] += scratch[j] * v
-			}
-			qtb[i] += sb * v
-		}
-		r.Set(k, k, norm) // store R's diagonal (negated reflector norm)
-	}
-	// Back substitution on the upper triangle; diag(R) is at r[k][k] but
-	// negated by construction above — recover it.
-	x := make([]float64, n)
-	const tiny = 1e-12
-	for i := n - 1; i >= 0; i-- {
-		ri := r.Row(i)
-		s := qtb[i]
-		for j := i + 1; j < n; j++ {
-			s -= ri[j] * x[j]
-		}
-		d := -ri[i]
-		if math.Abs(d) < tiny {
-			x[i] = 0 // rank-deficient column: minimum-norm-ish fallback
-			continue
-		}
-		x[i] = s / d
-	}
-	return x, nil
 }

@@ -9,8 +9,37 @@ import (
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// fromRows builds a matrix from row slices.
+func fromRows(rows [][]float64) *Matrix {
+	m := NewMatrix(len(rows), len(rows[0]))
+	for i, r := range rows {
+		copy(m.Row(i), r)
+	}
+	return m
+}
+
+// mulT returns a·bᵀ.
+func mulT(a, b *Matrix) *Matrix {
+	out := NewMatrix(a.Rows, b.Rows)
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < b.Rows; j++ {
+			out.Set(i, j, Dot(a.Row(i), b.Row(j)))
+		}
+	}
+	return out
+}
+
+// mulVec returns m·x.
+func mulVec(m *Matrix, x []float64) []float64 {
+	out := make([]float64, m.Rows)
+	for i := range out {
+		out[i] = Dot(m.Row(i), x)
+	}
+	return out
+}
+
 func TestMatrixBasics(t *testing.T) {
-	m := FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
+	m := fromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
 	if m.Rows != 3 || m.Cols != 2 {
 		t.Fatalf("shape %dx%d, want 3x2", m.Rows, m.Cols)
 	}
@@ -21,36 +50,13 @@ func TestMatrixBasics(t *testing.T) {
 	if m.At(0, 0) != 9 {
 		t.Errorf("Set failed")
 	}
-	tr := m.T()
-	if tr.Rows != 2 || tr.Cols != 3 || tr.At(1, 2) != 6 {
-		t.Errorf("transpose wrong: %+v", tr)
+	if r := m.Row(2); len(r) != 2 || r[0] != 5 || r[1] != 6 {
+		t.Errorf("Row(2) = %v, want [5 6]", r)
 	}
 	c := m.Clone()
 	c.Set(0, 0, -1)
 	if m.At(0, 0) != 9 {
 		t.Error("Clone aliases data")
-	}
-}
-
-func TestMul(t *testing.T) {
-	a := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	b := FromRows([][]float64{{7, 8}, {9, 10}, {11, 12}})
-	c := a.Mul(b)
-	want := [][]float64{{58, 64}, {139, 154}}
-	for i := range want {
-		for j := range want[i] {
-			if c.At(i, j) != want[i][j] {
-				t.Errorf("c[%d][%d] = %v, want %v", i, j, c.At(i, j), want[i][j])
-			}
-		}
-	}
-}
-
-func TestMulVec(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	got := a.MulVec([]float64{5, 6})
-	if got[0] != 17 || got[1] != 39 {
-		t.Errorf("MulVec = %v, want [17 39]", got)
 	}
 }
 
@@ -66,7 +72,7 @@ func randomSPD(r *rand.Rand, n int) *Matrix {
 	for i := range b.Data {
 		b.Data[i] = r.NormFloat64()
 	}
-	a := b.Mul(b.T())
+	a := mulT(b, b)
 	for i := 0; i < n; i++ {
 		a.Set(i, i, a.At(i, i)+float64(n))
 	}
@@ -81,7 +87,7 @@ func TestCholeskyReconstruction(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		rec := ch.L.Mul(ch.L.T())
+		rec := mulT(ch.L, ch.L)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				if !almostEq(rec.At(i, j), a.At(i, j), 1e-8*float64(n)) {
@@ -102,7 +108,7 @@ func TestCholeskySolveProperty(t *testing.T) {
 		for i := range xTrue {
 			xTrue[i] = rr.NormFloat64()
 		}
-		b := a.MulVec(xTrue)
+		b := mulVec(a, xTrue)
 		ch, err := NewCholesky(a)
 		if err != nil {
 			return false
@@ -122,18 +128,18 @@ func TestCholeskySolveProperty(t *testing.T) {
 }
 
 func TestCholeskyRejectsIndefinite(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
+	a := fromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
 	if _, err := NewCholesky(a); err == nil {
 		t.Error("indefinite matrix accepted")
 	}
-	b := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
+	b := fromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	if _, err := NewCholesky(b); err == nil {
 		t.Error("non-square matrix accepted")
 	}
 }
 
 func TestCholeskyLogDet(t *testing.T) {
-	a := FromRows([][]float64{{4, 0}, {0, 9}})
+	a := fromRows([][]float64{{4, 0}, {0, 9}})
 	ch, err := NewCholesky(a)
 	if err != nil {
 		t.Fatal(err)
@@ -151,100 +157,10 @@ func TestSolveVecL(t *testing.T) {
 	}
 	b := []float64{1, 2, 3, 4, 5, 6}
 	y := ch.SolveVecL(b)
-	back := ch.L.MulVec(y)
+	back := mulVec(ch.L, y)
 	for i := range b {
 		if !almostEq(back[i], b[i], 1e-9) {
 			t.Fatalf("L*SolveVecL(b) != b at %d: %v vs %v", i, back[i], b[i])
-		}
-	}
-}
-
-func TestLeastSquaresExact(t *testing.T) {
-	// Square nonsingular system: LS solution equals the exact solution.
-	a := FromRows([][]float64{{2, 1}, {1, 3}})
-	b := []float64{5, 10}
-	x, err := LeastSquares(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(x[0], 1, 1e-10) || !almostEq(x[1], 3, 1e-10) {
-		t.Errorf("x = %v, want [1 3]", x)
-	}
-}
-
-func TestLeastSquaresOverdetermined(t *testing.T) {
-	// Fit y = 2 + 3t to noiseless data; exact recovery expected.
-	ts := []float64{0, 1, 2, 3, 4}
-	rows := make([][]float64, len(ts))
-	b := make([]float64, len(ts))
-	for i, v := range ts {
-		rows[i] = []float64{1, v}
-		b[i] = 2 + 3*v
-	}
-	x, err := LeastSquares(FromRows(rows), b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(x[0], 2, 1e-9) || !almostEq(x[1], 3, 1e-9) {
-		t.Errorf("x = %v, want [2 3]", x)
-	}
-}
-
-// TestLeastSquaresResidualOrthogonality: the LS residual must be orthogonal
-// to the column space of A.
-func TestLeastSquaresResidualOrthogonality(t *testing.T) {
-	r := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 30; trial++ {
-		m, n := 8+r.Intn(10), 2+r.Intn(4)
-		a := NewMatrix(m, n)
-		for i := range a.Data {
-			a.Data[i] = r.NormFloat64()
-		}
-		b := make([]float64, m)
-		for i := range b {
-			b[i] = r.NormFloat64()
-		}
-		x, err := LeastSquares(a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ax := a.MulVec(x)
-		res := make([]float64, m)
-		for i := range res {
-			res[i] = b[i] - ax[i]
-		}
-		at := a.T()
-		for j := 0; j < n; j++ {
-			if v := Dot(at.Row(j), res); !almostEq(v, 0, 1e-7) {
-				t.Fatalf("trial %d: Aᵀr[%d] = %v, want 0", trial, j, v)
-			}
-		}
-	}
-}
-
-func TestLeastSquaresErrors(t *testing.T) {
-	a := FromRows([][]float64{{1, 2, 3}})
-	if _, err := LeastSquares(a, []float64{1}); err == nil {
-		t.Error("underdetermined system accepted")
-	}
-	b := FromRows([][]float64{{1}, {2}})
-	if _, err := LeastSquares(b, []float64{1, 2, 3}); err == nil {
-		t.Error("rhs length mismatch accepted")
-	}
-}
-
-func TestLeastSquaresRankDeficient(t *testing.T) {
-	// Second column is a copy of the first; solver must not blow up.
-	a := FromRows([][]float64{{1, 1}, {2, 2}, {3, 3}})
-	b := []float64{2, 4, 6}
-	x, err := LeastSquares(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ax := a.MulVec(x)
-	for i := range b {
-		if !almostEq(ax[i], b[i], 1e-8) {
-			t.Errorf("rank-deficient fit misses consistent rhs: Ax=%v b=%v", ax, b)
 		}
 	}
 }
@@ -290,38 +206,8 @@ func TestSolveLBatchMatchesSolveVecL(t *testing.T) {
 	}
 }
 
-// TestSolveBatchMatchesSolve asserts the full multi-RHS solve is
-// bit-identical, column by column, to Solve.
-func TestSolveBatchMatchesSolve(t *testing.T) {
-	r := rand.New(rand.NewSource(22))
-	for _, n := range []int{1, 4, 12} {
-		a := randomSPD(r, n)
-		ch, err := NewCholesky(a)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		const cols = 5
-		b := NewMatrix(n, cols)
-		for i := range b.Data {
-			b.Data[i] = r.NormFloat64()
-		}
-		x := ch.SolveBatch(b)
-		for j := 0; j < cols; j++ {
-			col := make([]float64, n)
-			for i := 0; i < n; i++ {
-				col[i] = b.At(i, j)
-			}
-			want := ch.Solve(col)
-			for i := 0; i < n; i++ {
-				if x.At(i, j) != want[i] {
-					t.Fatalf("n=%d col %d row %d: batch %v != single %v", n, j, i, x.At(i, j), want[i])
-				}
-			}
-		}
-	}
-}
-
-// TestSolveBatchShapeMismatchPanics pins the contract for bad shapes.
+// TestSolveBatchShapeMismatchPanics pins the batch forward solve's
+// contract for a right-hand side of the wrong height.
 func TestSolveBatchShapeMismatchPanics(t *testing.T) {
 	a := randomSPD(rand.New(rand.NewSource(23)), 3)
 	ch, err := NewCholesky(a)

@@ -10,9 +10,6 @@ type ForestConfig struct {
 	NEstimators    int
 	MaxDepth       int
 	MinSamplesLeaf int
-	// MaxFeatures per split; 0 means all features (sklearn regression
-	// default).
-	MaxFeatures int
 }
 
 // DefaultForestConfig mirrors skopt's forest defaults (100 estimators,
@@ -59,7 +56,6 @@ func newForest(name string, cfg ForestConfig, r *rand.Rand, randomThresholds, bo
 		tc := TreeConfig{
 			MaxDepth:         cfg.MaxDepth,
 			MinSamplesLeaf:   cfg.MinSamplesLeaf,
-			MaxFeatures:      cfg.MaxFeatures,
 			RandomThresholds: randomThresholds,
 			Bootstrap:        bootstrap,
 		}
@@ -120,8 +116,17 @@ func (f *Forest) Fit(X [][]float64, y []float64) error {
 	return nil
 }
 
+// fitted reports whether the trees have been trained (by Fit or
+// Unmarshal); an unfitted forest predicts 0.
+func (f *Forest) fitted() bool {
+	return len(f.trees) > 0 && len(f.trees[0].walk) > 0
+}
+
 // Predict implements Model.
 func (f *Forest) Predict(x []float64) float64 {
+	if !f.fitted() {
+		return 0
+	}
 	var s float64
 	for _, t := range f.trees {
 		s += t.Predict(x)
@@ -131,6 +136,9 @@ func (f *Forest) Predict(x []float64) float64 {
 
 // PredictWithStd implements Model: mean and standard deviation across trees.
 func (f *Forest) PredictWithStd(x []float64) (float64, float64) {
+	if !f.fitted() {
+		return 0, 0
+	}
 	n := float64(len(f.trees))
 	var sum, sumSq float64
 	for _, t := range f.trees {
@@ -146,7 +154,7 @@ func (f *Forest) PredictWithStd(x []float64) (float64, float64) {
 	return m, math.Sqrt(v)
 }
 
-// PredictBatch implements BatchPredictor: rows are scored concurrently in
+// PredictBatch implements Model: rows are scored concurrently in
 // shards, each row exactly as PredictWithStd would score it. Within a shard
 // the loop runs tree-outer, row-inner: one tree's node array stays
 // cache-resident across the whole candidate pool instead of all trees being
@@ -155,6 +163,9 @@ func (f *Forest) PredictWithStd(x []float64) (float64, float64) {
 func (f *Forest) PredictBatch(X [][]float64) ([]float64, []float64) {
 	means := make([]float64, len(X))
 	stds := make([]float64, len(X))
+	if !f.fitted() {
+		return means, stds
+	}
 	n := float64(len(f.trees))
 	parallelFor(len(X), 16, func(lo, hi int) {
 		// Tree pairs walk each row together: the two descents are
@@ -163,11 +174,7 @@ func (f *Forest) PredictBatch(X [][]float64) ([]float64, []float64) {
 		// order (t, then t+1), bit-identical to the sequential loop.
 		k := 0
 		for ; k+1 < len(f.trees); k += 2 {
-			t1, t2 := f.trees[k], f.trees[k+1]
-			if len(t1.walk) == 0 || len(t2.walk) == 0 {
-				break
-			}
-			w1, w2 := t1.walk, t2.walk
+			w1, w2 := f.trees[k].walk, f.trees[k+1].walk
 			for i := lo; i < hi; i++ {
 				x := X[i]
 				j1, j2 := 0, 0
@@ -200,16 +207,7 @@ func (f *Forest) PredictBatch(X [][]float64) ([]float64, []float64) {
 			}
 		}
 		for ; k < len(f.trees); k++ {
-			t := f.trees[k]
-			if len(t.walk) == 0 {
-				for i := lo; i < hi; i++ {
-					v := t.Predict(X[i])
-					means[i] += v
-					stds[i] += v * v
-				}
-				continue
-			}
-			w := t.walk
+			w := f.trees[k].walk
 			for i := lo; i < hi; i++ {
 				v := walkPredict(w, X[i])
 				means[i] += v

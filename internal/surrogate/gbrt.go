@@ -11,13 +11,11 @@ type GBRTConfig struct {
 	LearningRate   float64
 	MaxDepth       int
 	MinSamplesLeaf int
-	// Subsample < 1 enables stochastic gradient boosting.
-	Subsample float64
 }
 
 // DefaultGBRTConfig mirrors sklearn's GradientBoostingRegressor defaults.
 func DefaultGBRTConfig() GBRTConfig {
-	return GBRTConfig{NEstimators: 100, LearningRate: 0.1, MaxDepth: 3, MinSamplesLeaf: 1, Subsample: 1}
+	return GBRTConfig{NEstimators: 100, LearningRate: 0.1, MaxDepth: 3, MinSamplesLeaf: 1}
 }
 
 // GBRT is least-squares gradient boosting (Friedman 2001, the paper's
@@ -59,9 +57,6 @@ func NewGBRT(cfg GBRTConfig, r *rand.Rand) *GBRT {
 	}
 	if cfg.LearningRate <= 0 {
 		cfg.LearningRate = 0.1
-	}
-	if cfg.Subsample <= 0 || cfg.Subsample > 1 {
-		cfg.Subsample = 1
 	}
 	return &GBRT{cfg: cfg, rng: r}
 }
@@ -116,17 +111,7 @@ func (g *GBRT) Fit(X [][]float64, y []float64) error {
 		}
 		tc := TreeConfig{MaxDepth: g.cfg.MaxDepth, MinSamplesLeaf: g.cfg.MinSamplesLeaf}
 		tree := g.stageTree(s, tc)
-		fitX, fitY := X, resid
-		if g.cfg.Subsample < 1 {
-			m := int(math.Max(1, g.cfg.Subsample*float64(n)))
-			fitX = make([][]float64, m)
-			fitY = make([]float64, m)
-			for i := 0; i < m; i++ {
-				j := g.rng.Intn(n)
-				fitX[i], fitY[i] = X[j], resid[j]
-			}
-		}
-		if err := tree.fit(fitX, fitY, &g.scratch); err != nil {
+		if err := tree.fit(X, resid, &g.scratch); err != nil {
 			return err
 		}
 		g.stages = append(g.stages, tree)
@@ -161,7 +146,7 @@ func (g *GBRT) PredictWithStd(x []float64) (float64, float64) {
 	return g.Predict(x), g.residualStd
 }
 
-// PredictBatch implements BatchPredictor: rows are scored concurrently in
+// PredictBatch implements Model: rows are scored concurrently in
 // shards; each row accumulates its stages in the same order as Predict. The
 // shard loop runs stage-outer, row-inner so one stage's node array stays
 // cache-resident across the whole pool (see Forest.PredictBatch).
@@ -174,12 +159,6 @@ func (g *GBRT) PredictBatch(X [][]float64) ([]float64, []float64) {
 			stds[i] = g.residualStd
 		}
 		for _, t := range g.stages {
-			if len(t.walk) == 0 {
-				for i := lo; i < hi; i++ {
-					means[i] += g.cfg.LearningRate * t.Predict(X[i])
-				}
-				continue
-			}
 			w := t.walk
 			for i := lo; i < hi; i++ {
 				means[i] += g.cfg.LearningRate * walkPredict(w, X[i])

@@ -7,49 +7,15 @@ import (
 	"e2clab/internal/linalg"
 )
 
-// Kernel is a stationary covariance function over unit-cube inputs.
-type Kernel interface {
-	// Eval returns k(a, b) for the given length scale.
-	Eval(a, b []float64, lengthScale float64) float64
-	Name() string
-}
-
-// RBF is the squared-exponential kernel.
-type RBF struct{}
-
-// Eval implements Kernel.
-func (RBF) Eval(a, b []float64, ls float64) float64 {
-	return math.Exp(-0.5 * sqDist(a, b) / (ls * ls))
-}
-
-// Name implements Kernel.
-func (RBF) Name() string { return "rbf" }
-
-// Matern32 is the Matérn kernel with ν = 3/2.
-type Matern32 struct{}
-
-// Eval implements Kernel.
-func (Matern32) Eval(a, b []float64, ls float64) float64 {
-	d := math.Sqrt(sqDist(a, b)) / ls
-	s := math.Sqrt(3) * d
-	return (1 + s) * math.Exp(-s)
-}
-
-// Name implements Kernel.
-func (Matern32) Name() string { return "matern32" }
-
-// Matern52 is the Matérn kernel with ν = 5/2 (skopt's GP default).
-type Matern52 struct{}
-
-// Eval implements Kernel.
-func (Matern52) Eval(a, b []float64, ls float64) float64 {
+// matern52 is the Matérn ν = 5/2 covariance k(a, b) for length scale ls,
+// skopt's GP default kernel. The explicit float64 conversion rounds the
+// product before a caller's add or subtract, so an inlined call can never be
+// fused into one multiply-add and the GP outputs stay bit-stable.
+func matern52(a, b []float64, ls float64) float64 {
 	d := math.Sqrt(sqDist(a, b)) / ls
 	s := math.Sqrt(5) * d
-	return (1 + s + 5*d*d/3) * math.Exp(-s)
+	return float64((1 + s + 5*d*d/3) * math.Exp(-s))
 }
-
-// Name implements Kernel.
-func (Matern52) Name() string { return "matern52" }
 
 func sqDist(a, b []float64) float64 {
 	var s float64
@@ -62,23 +28,23 @@ func sqDist(a, b []float64) float64 {
 
 // GPConfig controls the Gaussian-process (Kriging) surrogate.
 type GPConfig struct {
-	Kernel Kernel
 	// Noise is the diagonal jitter / observation noise variance (alpha).
 	Noise float64
-	// LengthScales is the grid searched when fitting by maximizing the log
-	// marginal likelihood; empty uses a default log-spaced grid.
-	LengthScales []float64
 }
 
-// DefaultGPConfig uses a Matérn 5/2 kernel, matching skopt.
+// DefaultGPConfig returns the default observation-noise jitter, 1e-6.
 func DefaultGPConfig() GPConfig {
-	return GPConfig{Kernel: Matern52{}, Noise: 1e-6}
+	return GPConfig{Noise: 1e-6}
 }
+
+// gpLengthScales is the log-spaced grid Fit searches for the length scale
+// that maximizes the log marginal likelihood.
+var gpLengthScales = [...]float64{0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2}
 
 // GP is Gaussian-process regression ("Kriging models for global
-// approximation"). Targets are internally standardized; the length scale is
-// selected by grid-search maximum marginal likelihood, which is robust and
-// derivative-free (stdlib-only constraint).
+// approximation") with a Matérn 5/2 kernel. Targets are internally
+// standardized; the length scale is selected by grid-search maximum marginal
+// likelihood, which is robust and derivative-free (stdlib-only constraint).
 type GP struct {
 	cfg   GPConfig
 	X     [][]float64
@@ -92,9 +58,6 @@ type GP struct {
 
 // NewGP returns an untrained GP.
 func NewGP(cfg GPConfig) *GP {
-	if cfg.Kernel == nil {
-		cfg.Kernel = Matern52{}
-	}
 	if cfg.Noise <= 0 {
 		cfg.Noise = 1e-6
 	}
@@ -126,14 +89,10 @@ func (g *GP) Fit(X [][]float64, y []float64) error {
 		z[i] = (v - g.yMean) / g.yStd
 	}
 
-	grid := g.cfg.LengthScales
-	if len(grid) == 0 {
-		grid = []float64{0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2}
-	}
 	bestLL := math.Inf(-1)
 	var bestChol *linalg.Cholesky
 	var bestAlpha []float64
-	for _, ls := range grid {
+	for _, ls := range gpLengthScales {
 		k := g.gram(X, ls)
 		ch, err := linalg.NewCholesky(k)
 		if err != nil {
@@ -159,7 +118,7 @@ func (g *GP) gram(X [][]float64, ls float64) *linalg.Matrix {
 	k := linalg.NewMatrix(n, n)
 	for i := 0; i < n; i++ {
 		for j := i; j < n; j++ {
-			v := g.cfg.Kernel.Eval(X[i], X[j], ls)
+			v := matern52(X[i], X[j], ls)
 			k.Set(i, j, v)
 			k.Set(j, i, v)
 		}
@@ -182,18 +141,18 @@ func (g *GP) PredictWithStd(x []float64) (float64, float64) {
 	n := len(g.X)
 	ks := make([]float64, n)
 	for i := range g.X {
-		ks[i] = g.cfg.Kernel.Eval(x, g.X[i], g.ls)
+		ks[i] = matern52(x, g.X[i], g.ls)
 	}
 	zMean := linalg.Dot(ks, g.alpha)
 	v := g.chol.SolveVecL(ks)
-	variance := g.cfg.Kernel.Eval(x, x, g.ls) - linalg.Dot(v, v)
+	variance := matern52(x, x, g.ls) - linalg.Dot(v, v)
 	if variance < 0 {
 		variance = 0
 	}
 	return g.yMean + g.yStd*zMean, g.yStd * math.Sqrt(variance)
 }
 
-// PredictBatch implements BatchPredictor. Candidates are sharded across the
+// PredictBatch implements Model. Candidates are sharded across the
 // worker pool; each shard builds its cross-covariance block and runs one
 // multi-RHS forward substitution (Cholesky.SolveLBatch), reusing the factor
 // computed at fit time across the whole pool instead of re-solving per
@@ -229,7 +188,7 @@ func (g *GP) PredictBatch(X [][]float64) ([]float64, []float64) {
 				xi := g.X[i]
 				ai := g.alpha[i]
 				for j := 0; j < cnt; j++ {
-					ki[j] = g.cfg.Kernel.Eval(X[lo+j], xi, g.ls)
+					ki[j] = matern52(X[lo+j], xi, g.ls)
 					// Posterior mean ksᵀ α, accumulated per candidate in
 					// training-row order exactly like linalg.Dot.
 					zm[j] += ki[j] * ai
@@ -248,7 +207,7 @@ func (g *GP) PredictBatch(X [][]float64) ([]float64, []float64) {
 			for j := 0; j < cnt; j++ {
 				means[lo+j] = g.yMean + g.yStd*zm[j]
 				x := X[lo+j]
-				variance := g.cfg.Kernel.Eval(x, x, g.ls) - dot[j]
+				variance := matern52(x, x, g.ls) - dot[j]
 				if variance < 0 {
 					variance = 0
 				}

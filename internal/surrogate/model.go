@@ -1,9 +1,9 @@
-// Package surrogate implements the surrogate-model families the paper's
-// Phase II lists for exploring the search space of long-running
-// applications: decision trees, Random Forest, Extra Trees (the paper's
-// choice, Listing 1 base_estimator='ET'), Gradient Boosting Regression
-// Trees, Gaussian process (Kriging), polynomial regression, and a
-// least-squares SVM (kernel ridge) standing in for the SVM family.
+// Package surrogate implements the four surrogate families skopt offers as
+// its base_estimator, which the paper's Phase II uses to explore the search
+// space of long-running applications: Extra Trees (the paper's choice,
+// Listing 1 base_estimator='ET'), Random Forest, Gradient Boosting
+// Regression Trees, and a Gaussian process (Kriging) with skopt's Matérn 5/2
+// kernel. The tree ensembles are built from one CART regression tree, Tree.
 //
 // All models regress y on points in the unit hypercube (package space maps
 // real configurations there) and expose predictive uncertainty so that
@@ -13,8 +13,7 @@
 //
 // Training and prediction parallelize internally across a worker pool sized
 // by GOMAXPROCS (see parallelFor): Forest.Fit trains its trees concurrently,
-// and the BatchPredictor implementations score candidate shards
-// concurrently. Parallelism never changes results — each tree owns a
+// and every PredictBatch scores candidate shards concurrently. Parallelism never changes results — each tree owns a
 // dedicated RNG seeded at construction time exactly as in the sequential
 // code, and batch prediction computes element i of its outputs purely from
 // input row i, so outputs are bit-identical to the sequential paths for a
@@ -24,12 +23,10 @@
 //
 // # Batch prediction contract
 //
-// Models that can amortize per-call overhead over many points implement
-// BatchPredictor. PredictBatch(X) must return means[i], stds[i] equal (bit
-// for bit) to PredictWithStd(X[i]) for every row; callers such as the
-// acquisition loop in internal/bo rely on this equivalence and use the
-// package-level PredictBatch helper, which falls back to a sequential loop
-// for models without a native batch path.
+// PredictBatch(X) must return means[i], stds[i] equal (bit for bit) to
+// PredictWithStd(X[i]) for every row; callers such as the acquisition loop
+// in internal/bo rely on this equivalence to score whole candidate pools in
+// one call.
 package surrogate
 
 import (
@@ -47,32 +44,18 @@ type Model interface {
 	// estimate at x. Models without a principled posterior return a
 	// residual-based estimate (documented per model).
 	PredictWithStd(x []float64) (mean, std float64)
+	// PredictBatch returns the posterior mean and standard deviation for
+	// every row of X; element i is bit-identical to PredictWithStd(X[i]).
+	// Implementations parallelize across rows internally.
+	PredictBatch(X [][]float64) (means, stds []float64)
 	// Name identifies the model in reproducibility summaries.
 	Name() string
 }
 
-// BatchPredictor is implemented by models with a native batched prediction
-// path. PredictBatch returns the posterior mean and standard deviation for
-// every row of X; element i must be bit-identical to PredictWithStd(X[i]).
-// Implementations may parallelize across rows internally.
-type BatchPredictor interface {
-	PredictBatch(X [][]float64) (means, stds []float64)
-}
-
-// PredictBatch scores every row of X under m, using the model's native
-// batch path when it implements BatchPredictor and a sequential
-// PredictWithStd loop otherwise. It is the entry point acquisition
-// optimizers should use to score candidate pools.
+// PredictBatch scores every row of X under m. It is the entry point
+// acquisition optimizers use to score candidate pools.
 func PredictBatch(m Model, X [][]float64) (means, stds []float64) {
-	if bp, ok := m.(BatchPredictor); ok {
-		return bp.PredictBatch(X)
-	}
-	means = make([]float64, len(X))
-	stds = make([]float64, len(X))
-	for i, x := range X {
-		means[i], stds[i] = m.PredictWithStd(x)
-	}
-	return means, stds
+	return m.PredictBatch(X)
 }
 
 // Factory builds a fresh model; optimizers refit from scratch at every
@@ -90,8 +73,8 @@ type Reseeder interface {
 	Reseed(seed int64)
 }
 
-// ByName maps the estimator names of skopt ("ET", "RF", "GBRT", "GP") plus
-// this package's extras ("TREE", "POLY", "LSSVM") to factories.
+// ByName maps skopt's estimator names ("ET", "RF", "GBRT", "GP") to
+// factories.
 func ByName(name string) (Factory, error) {
 	switch name {
 	case "ET":
@@ -102,14 +85,6 @@ func ByName(name string) (Factory, error) {
 		return func(r *rand.Rand) Model { return NewGBRT(DefaultGBRTConfig(), r) }, nil
 	case "GP":
 		return func(r *rand.Rand) Model { return NewGP(DefaultGPConfig()) }, nil
-	case "TREE":
-		return func(r *rand.Rand) Model { return NewTree(DefaultTreeConfig(), r) }, nil
-	case "POLY":
-		return func(r *rand.Rand) Model { return NewPolynomial(2) }, nil
-	case "LSSVM":
-		return func(r *rand.Rand) Model { return NewLSSVM(DefaultLSSVMConfig()) }, nil
-	case "KNN":
-		return func(r *rand.Rand) Model { return NewKNN(DefaultKNNConfig()) }, nil
 	default:
 		return nil, fmt.Errorf("surrogate: unknown estimator %q", name)
 	}

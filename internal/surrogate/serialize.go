@@ -3,6 +3,7 @@ package surrogate
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"e2clab/internal/linalg"
 )
@@ -14,13 +15,9 @@ import (
 
 type modelEnvelope struct {
 	Type   string       `json:"type"`
-	Tree   *treeState   `json:"tree,omitempty"`
 	Forest *forestState `json:"forest,omitempty"`
 	GBRT   *gbrtState   `json:"gbrt,omitempty"`
 	GP     *gpState     `json:"gp,omitempty"`
-	Poly   *polyState   `json:"poly,omitempty"`
-	LSSVM  *lssvmState  `json:"lssvm,omitempty"`
-	KNN    *knnState    `json:"knn,omitempty"`
 }
 
 type treeState struct {
@@ -59,29 +56,6 @@ type gpState struct {
 	LS     float64     `json:"length_scale"`
 }
 
-type polyState struct {
-	Degree      int       `json:"degree"`
-	Dims        int       `json:"dims"`
-	Coef        []float64 `json:"coef"`
-	ResidualStd float64   `json:"residual_std"`
-}
-
-type lssvmState struct {
-	Gamma       float64     `json:"gamma"`
-	C           float64     `json:"c"`
-	X           [][]float64 `json:"x"`
-	Alpha       []float64   `json:"alpha"`
-	Bias        float64     `json:"bias"`
-	ResidualStd float64     `json:"residual_std"`
-}
-
-type knnState struct {
-	K        int         `json:"k"`
-	Weighted bool        `json:"weighted"`
-	X        [][]float64 `json:"x"`
-	Y        []float64   `json:"y"`
-}
-
 func treeToState(t *Tree) treeState {
 	s := treeState{Nodes: make([]treeNodeState, len(t.nodes))}
 	for i, n := range t.nodes {
@@ -91,25 +65,47 @@ func treeToState(t *Tree) treeState {
 	return s
 }
 
-func treeFromState(s treeState) *Tree {
+// treeFromState rebuilds a tree, rejecting any layout the walk cannot
+// follow: a tree needs a node, and a split node i needs
+// left == i+1 < right < len(nodes), the preorder Fit builds, and a feature
+// index that fits the walk's int32. That bounds every descent to strictly
+// increasing in-range indices.
+func treeFromState(s treeState) (*Tree, error) {
+	n := len(s.Nodes)
+	if n == 0 {
+		return nil, fmt.Errorf("surrogate: tree with no nodes")
+	}
 	t := NewTree(DefaultTreeConfig(), nil)
-	t.nodes = make([]treeNode, len(s.Nodes))
-	for i, n := range s.Nodes {
-		t.nodes[i] = treeNode{feature: n.Feature, threshold: n.Threshold,
-			left: n.Left, right: n.Right, value: n.Value, count: n.Count}
+	t.nodes = make([]treeNode, n)
+	for i, nd := range s.Nodes {
+		if nd.Feature >= 0 && (nd.Feature > math.MaxInt32 || nd.Left != i+1 || nd.Right <= nd.Left || nd.Right >= n) {
+			return nil, fmt.Errorf("surrogate: tree node %d is not a preorder split (f=%d l=%d r=%d, %d nodes)",
+				i, nd.Feature, nd.Left, nd.Right, n)
+		}
+		t.nodes[i] = treeNode{feature: nd.Feature, threshold: nd.Threshold,
+			left: nd.Left, right: nd.Right, value: nd.Value, count: nd.Count}
 	}
 	t.buildWalk()
-	return t
+	return t, nil
+}
+
+// treesFromStates rebuilds a tree list, failing on the first bad tree.
+func treesFromStates(states []treeState) ([]*Tree, error) {
+	trees := make([]*Tree, len(states))
+	for i, ts := range states {
+		t, err := treeFromState(ts)
+		if err != nil {
+			return nil, err
+		}
+		trees[i] = t
+	}
+	return trees, nil
 }
 
 // Marshal serializes a fitted model.
 func Marshal(m Model) ([]byte, error) {
 	env := modelEnvelope{}
 	switch v := m.(type) {
-	case *Tree:
-		env.Type = "TREE"
-		st := treeToState(v)
-		env.Tree = &st
 	case *Forest:
 		env.Type = v.name
 		fs := forestState{Name: v.name}
@@ -129,19 +125,9 @@ func Marshal(m Model) ([]byte, error) {
 			return nil, fmt.Errorf("surrogate: cannot marshal unfitted GP")
 		}
 		env.Type = "GP"
-		env.GP = &gpState{Kernel: v.cfg.Kernel.Name(), Noise: v.cfg.Noise,
+		env.GP = &gpState{Kernel: "matern52", Noise: v.cfg.Noise,
 			X: v.X, Alpha: v.alpha, L: v.chol.L.Data,
 			YMean: v.yMean, YStd: v.yStd, LS: v.ls}
-	case *Polynomial:
-		env.Type = "POLY"
-		env.Poly = &polyState{Degree: v.degree, Dims: v.dims, Coef: v.coef, ResidualStd: v.residualStd}
-	case *LSSVM:
-		env.Type = "LSSVM"
-		env.LSSVM = &lssvmState{Gamma: v.cfg.Gamma, C: v.cfg.C,
-			X: v.X, Alpha: v.alpha, Bias: v.bias, ResidualStd: v.residualStd}
-	case *KNN:
-		env.Type = "KNN"
-		env.KNN = &knnState{K: v.cfg.K, Weighted: v.cfg.Weighted, X: v.X, Y: v.y}
 	default:
 		return nil, fmt.Errorf("surrogate: cannot marshal %T", m)
 	}
@@ -155,52 +141,58 @@ func Unmarshal(b []byte) (Model, error) {
 		return nil, fmt.Errorf("surrogate: %w", err)
 	}
 	switch env.Type {
-	case "TREE":
-		if env.Tree == nil {
-			return nil, fmt.Errorf("surrogate: TREE payload missing")
-		}
-		return treeFromState(*env.Tree), nil
 	case "ET", "RF":
-		if env.Forest == nil {
+		st := env.Forest
+		if st == nil {
 			return nil, fmt.Errorf("surrogate: forest payload missing")
 		}
-		f := &Forest{name: env.Forest.Name}
-		for _, ts := range env.Forest.Trees {
-			f.trees = append(f.trees, treeFromState(ts))
+		if st.Name != env.Type || len(st.Trees) == 0 {
+			return nil, fmt.Errorf("surrogate: %s payload names %q with %d trees", env.Type, st.Name, len(st.Trees))
 		}
-		return f, nil
+		trees, err := treesFromStates(st.Trees)
+		if err != nil {
+			return nil, err
+		}
+		return &Forest{name: st.Name, trees: trees}, nil
 	case "GBRT":
-		if env.GBRT == nil {
+		st := env.GBRT
+		if st == nil {
 			return nil, fmt.Errorf("surrogate: GBRT payload missing")
 		}
-		g := NewGBRT(GBRTConfig{LearningRate: env.GBRT.Rate}, nil)
-		g.base = env.GBRT.Base
-		g.residualStd = env.GBRT.ResidualStd
-		for _, ts := range env.GBRT.Stages {
-			g.stages = append(g.stages, treeFromState(ts))
+		if !(st.Rate > 0) {
+			return nil, fmt.Errorf("surrogate: GBRT learning rate %v, want > 0", st.Rate)
 		}
+		stages, err := treesFromStates(st.Stages)
+		if err != nil {
+			return nil, err
+		}
+		g := NewGBRT(GBRTConfig{LearningRate: st.Rate}, nil)
+		g.base = st.Base
+		g.residualStd = st.ResidualStd
+		g.stages = stages
 		return g, nil
 	case "GP":
 		st := env.GP
 		if st == nil {
 			return nil, fmt.Errorf("surrogate: GP payload missing")
 		}
-		var kernel Kernel
-		switch st.Kernel {
-		case "rbf":
-			kernel = RBF{}
-		case "matern32":
-			kernel = Matern32{}
-		case "matern52":
-			kernel = Matern52{}
-		default:
+		if st.Kernel != "matern52" {
 			return nil, fmt.Errorf("surrogate: unknown kernel %q", st.Kernel)
 		}
-		g := NewGP(GPConfig{Kernel: kernel, Noise: st.Noise})
 		n := len(st.X)
 		if n == 0 || len(st.L) != n*n || len(st.Alpha) != n {
 			return nil, fmt.Errorf("surrogate: GP payload inconsistent (n=%d)", n)
 		}
+		d := len(st.X[0])
+		for i, row := range st.X {
+			if d == 0 || len(row) != d {
+				return nil, fmt.Errorf("surrogate: GP row %d has %d columns, row 0 has %d; want one width >= 1", i, len(row), d)
+			}
+		}
+		if !(st.LS > 0) || math.IsInf(st.LS, 1) || !(st.Noise > 0) {
+			return nil, fmt.Errorf("surrogate: GP length scale %v / noise %v, want finite > 0", st.LS, st.Noise)
+		}
+		g := NewGP(GPConfig{Noise: st.Noise})
 		l := linalg.NewMatrix(n, n)
 		copy(l.Data, st.L)
 		g.X = st.X
@@ -208,31 +200,6 @@ func Unmarshal(b []byte) (Model, error) {
 		g.chol = &linalg.Cholesky{L: l}
 		g.yMean, g.yStd, g.ls, g.ok = st.YMean, st.YStd, st.LS, true
 		return g, nil
-	case "POLY":
-		if env.Poly == nil {
-			return nil, fmt.Errorf("surrogate: POLY payload missing")
-		}
-		p := NewPolynomial(env.Poly.Degree)
-		p.dims = env.Poly.Dims
-		p.coef = env.Poly.Coef
-		p.residualStd = env.Poly.ResidualStd
-		return p, nil
-	case "LSSVM":
-		st := env.LSSVM
-		if st == nil {
-			return nil, fmt.Errorf("surrogate: LSSVM payload missing")
-		}
-		s := NewLSSVM(LSSVMConfig{Gamma: st.Gamma, C: st.C})
-		s.X, s.alpha, s.bias, s.residualStd = st.X, st.Alpha, st.Bias, st.ResidualStd
-		return s, nil
-	case "KNN":
-		st := env.KNN
-		if st == nil {
-			return nil, fmt.Errorf("surrogate: KNN payload missing")
-		}
-		k := NewKNN(KNNConfig{K: st.K, Weighted: st.Weighted})
-		k.X, k.y = st.X, st.Y
-		return k, nil
 	default:
 		return nil, fmt.Errorf("surrogate: unknown model type %q", env.Type)
 	}

@@ -30,13 +30,10 @@ func quadratic(x []float64) float64 {
 
 func allModels(r *rand.Rand) []Model {
 	return []Model{
-		NewTree(DefaultTreeConfig(), r),
 		NewRandomForest(ForestConfig{NEstimators: 50, MinSamplesLeaf: 1}, r),
 		NewExtraTrees(ForestConfig{NEstimators: 50, MinSamplesLeaf: 1}, r),
-		NewGBRT(GBRTConfig{NEstimators: 80, LearningRate: 0.1, MaxDepth: 3, Subsample: 1}, r),
+		NewGBRT(GBRTConfig{NEstimators: 80, LearningRate: 0.1, MaxDepth: 3}, r),
 		NewGP(DefaultGPConfig()),
-		NewPolynomial(2),
-		NewLSSVM(DefaultLSSVMConfig()),
 	}
 }
 
@@ -71,15 +68,22 @@ func TestAllModelsLearnQuadratic(t *testing.T) {
 
 func TestModelsRejectBadInput(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
-	for _, model := range allModels(r) {
+	type fitter interface {
+		Fit(X [][]float64, y []float64) error
+	}
+	fitters := map[string]fitter{"Tree": NewTree(DefaultTreeConfig(), r)}
+	for _, m := range allModels(r) {
+		fitters[m.Name()] = m
+	}
+	for name, model := range fitters {
 		if err := model.Fit(nil, nil); err == nil {
-			t.Errorf("%s accepted empty training set", model.Name())
+			t.Errorf("%s accepted empty training set", name)
 		}
 		if err := model.Fit([][]float64{{1, 2}, {3}}, []float64{1, 2}); err == nil {
-			t.Errorf("%s accepted ragged rows", model.Name())
+			t.Errorf("%s accepted ragged rows", name)
 		}
 		if err := model.Fit([][]float64{{1, 2}}, []float64{1, 2}); err == nil {
-			t.Errorf("%s accepted row/target mismatch", model.Name())
+			t.Errorf("%s accepted row/target mismatch", name)
 		}
 	}
 }
@@ -236,23 +240,10 @@ func TestGBRTImprovesWithStages(t *testing.T) {
 	}
 }
 
-func TestGBRTSubsample(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	X, y := trainSet(r, 100, 2, quadratic)
-	g := NewGBRT(GBRTConfig{NEstimators: 30, LearningRate: 0.1, MaxDepth: 3, Subsample: 0.5}, r)
-	if err := g.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	_, std := g.PredictWithStd([]float64{0.5, 0.5})
-	if std < 0 {
-		t.Error("negative residual std")
-	}
-}
-
 func TestGPExactInterpolationLowNoise(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
 	X, y := trainSet(r, 30, 2, quadratic)
-	gp := NewGP(GPConfig{Kernel: RBF{}, Noise: 1e-8})
+	gp := NewGP(GPConfig{Noise: 1e-8})
 	if err := gp.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
@@ -294,174 +285,67 @@ func TestGPConstantTargets(t *testing.T) {
 }
 
 func TestKernelsBasicProperties(t *testing.T) {
-	kernels := []Kernel{RBF{}, Matern32{}, Matern52{}}
 	a := []float64{0.2, 0.4}
 	b := []float64{0.6, 0.1}
-	for _, k := range kernels {
-		if v := k.Eval(a, a, 0.5); math.Abs(v-1) > 1e-12 {
-			t.Errorf("%s: k(a,a) = %v, want 1", k.Name(), v)
-		}
-		ab, ba := k.Eval(a, b, 0.5), k.Eval(b, a, 0.5)
-		if ab != ba {
-			t.Errorf("%s: not symmetric", k.Name())
-		}
-		if ab <= 0 || ab >= 1 {
-			t.Errorf("%s: k(a,b) = %v outside (0,1)", k.Name(), ab)
-		}
-		// Longer length scale -> higher correlation.
-		if k.Eval(a, b, 2) <= k.Eval(a, b, 0.2) {
-			t.Errorf("%s: correlation not increasing in length scale", k.Name())
-		}
+	if v := matern52(a, a, 0.5); math.Abs(v-1) > 1e-12 {
+		t.Errorf("k(a,a) = %v, want 1", v)
 	}
-}
-
-func TestPolynomialExactOnQuadratic(t *testing.T) {
-	// A degree-2 polynomial model must fit a noiseless quadratic exactly.
-	r := rand.New(rand.NewSource(13))
-	X, y := trainSet(r, 50, 3, func(x []float64) float64 {
-		return 1 + 2*x[0] - x[1] + 0.5*x[0]*x[1] + 3*x[2]*x[2]
-	})
-	p := NewPolynomial(2)
-	if err := p.Fit(X, y); err != nil {
-		t.Fatal(err)
+	ab, ba := matern52(a, b, 0.5), matern52(b, a, 0.5)
+	if ab != ba {
+		t.Error("not symmetric")
 	}
-	probe := []float64{0.3, 0.6, 0.2}
-	want := 1 + 2*0.3 - 0.6 + 0.5*0.3*0.6 + 3*0.2*0.2
-	if got := p.Predict(probe); math.Abs(got-want) > 1e-6 {
-		t.Errorf("Predict = %v, want %v", got, want)
+	if ab <= 0 || ab >= 1 {
+		t.Errorf("k(a,b) = %v outside (0,1)", ab)
 	}
-	if _, std := p.PredictWithStd(probe); std > 1e-6 {
-		t.Errorf("residual std = %v on noiseless quadratic", std)
-	}
-}
-
-func TestPolynomialRidgeFallbackSmallN(t *testing.T) {
-	// Fewer rows than expanded features triggers the ridge path.
-	X := [][]float64{{0.1, 0.2}, {0.3, 0.4}, {0.5, 0.1}}
-	y := []float64{1, 2, 3}
-	p := NewPolynomial(2)
-	if err := p.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	if v := p.Predict([]float64{0.2, 0.3}); math.IsNaN(v) {
-		t.Error("ridge fallback produced NaN")
-	}
-}
-
-func TestPolynomialDegree3(t *testing.T) {
-	r := rand.New(rand.NewSource(14))
-	X, y := trainSet(r, 80, 1, func(x []float64) float64 { return x[0] * x[0] * x[0] })
-	p := NewPolynomial(3)
-	if err := p.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	if got := p.Predict([]float64{0.5}); math.Abs(got-0.125) > 1e-6 {
-		t.Errorf("cubic fit at 0.5 = %v, want 0.125", got)
-	}
-}
-
-func TestLSSVMFitsSmoothFunction(t *testing.T) {
-	r := rand.New(rand.NewSource(15))
-	X, y := trainSet(r, 100, 2, func(x []float64) float64 { return math.Sin(3*x[0]) + x[1] })
-	s := NewLSSVM(DefaultLSSVMConfig())
-	if err := s.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	var sse float64
-	Xt, yt := trainSet(r, 100, 2, func(x []float64) float64 { return math.Sin(3*x[0]) + x[1] })
-	for i := range Xt {
-		d := s.Predict(Xt[i]) - yt[i]
-		sse += d * d
-	}
-	if rmse := math.Sqrt(sse / 100); rmse > 0.1 {
-		t.Errorf("LSSVM rmse = %v, want < 0.1", rmse)
+	// Longer length scale -> higher correlation.
+	if matern52(a, b, 2) <= matern52(a, b, 0.2) {
+		t.Error("correlation not increasing in length scale")
 	}
 }
 
 func TestByName(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
-	for _, n := range []string{"ET", "RF", "GBRT", "GP", "TREE", "POLY", "LSSVM"} {
+	for _, n := range []string{"ET", "RF", "GBRT", "GP"} {
 		f, err := ByName(n)
 		if err != nil {
 			t.Errorf("ByName(%q): %v", n, err)
 			continue
 		}
-		m := f(r)
-		if m == nil {
-			t.Errorf("ByName(%q) factory returned nil", n)
+		if m := f(r); m == nil || m.Name() != n {
+			t.Errorf("ByName(%q) factory built %v", n, m)
 		}
 	}
-	if _, err := ByName("XGB"); err == nil {
-		t.Error("unknown estimator accepted")
+	// skopt offers exactly these four; anything else is unknown.
+	for _, n := range []string{"XGB", "TREE", "POLY", "LSSVM", "KNN", "et"} {
+		if _, err := ByName(n); err == nil {
+			t.Errorf("unknown estimator %q accepted", n)
+		}
 	}
 }
 
+// TestUntrainedPredictIsSafe: an unfitted model predicts 0 with std 0 on
+// every path, and its batch path neither panics nor reads a tree.
 func TestUntrainedPredictIsSafe(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
+	X := [][]float64{{0.5, 0.5}, {0.1, 0.9}, {1, 0}}
 	for _, m := range allModels(r) {
-		if v := m.Predict([]float64{0.5, 0.5}); math.IsNaN(v) {
-			t.Errorf("%s: untrained Predict is NaN", m.Name())
+		if v := m.Predict(X[0]); v != 0 {
+			t.Errorf("%s: untrained Predict = %v, want 0", m.Name(), v)
 		}
-	}
-}
-
-func TestKNNBasics(t *testing.T) {
-	k := NewKNN(DefaultKNNConfig())
-	X := [][]float64{{0, 0}, {1, 0}, {0, 1}, {1, 1}}
-	y := []float64{0, 1, 1, 2}
-	if err := k.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	// Near a training point, distance weighting pulls toward its target.
-	if got := k.Predict([]float64{0.01, 0.01}); math.Abs(got-0) > 0.2 {
-		t.Errorf("Predict near (0,0) = %v, want ~0", got)
-	}
-	// Center: symmetric average.
-	if got := k.Predict([]float64{0.5, 0.5}); math.Abs(got-1) > 0.2 {
-		t.Errorf("Predict center = %v, want ~1", got)
-	}
-	// Neighborhood std positive where targets conflict.
-	if _, s := k.PredictWithStd([]float64{0.5, 0.5}); s <= 0 {
-		t.Errorf("std = %v, want > 0", s)
-	}
-}
-
-func TestKNNUnweightedExactHit(t *testing.T) {
-	k := NewKNN(KNNConfig{K: 3, Weighted: false})
-	X := [][]float64{{0}, {0.5}, {1}}
-	y := []float64{1, 2, 3}
-	if err := k.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	if got, s := k.PredictWithStd([]float64{0.5}); got != 2 || s != 0 {
-		t.Errorf("exact hit = %v (std %v), want 2, 0", got, s)
-	}
-}
-
-func TestKNNLearnsQuadratic(t *testing.T) {
-	r := rand.New(rand.NewSource(17))
-	X, y := trainSet(r, 300, 2, quadratic)
-	k := NewKNN(DefaultKNNConfig())
-	if err := k.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	Xt, yt := trainSet(r, 100, 2, quadratic)
-	var sse float64
-	for i := range Xt {
-		d := k.Predict(Xt[i]) - yt[i]
-		sse += d * d
-	}
-	if rmse := math.Sqrt(sse / 100); rmse > 0.05 {
-		t.Errorf("KNN rmse = %v", rmse)
-	}
-}
-
-func TestKNNByName(t *testing.T) {
-	f, err := ByName("KNN")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f(rand.New(rand.NewSource(1))).Name() != "KNN" {
-		t.Error("factory name mismatch")
+		if mu, sd := m.PredictWithStd(X[0]); mu != 0 || sd != 0 {
+			t.Errorf("%s: untrained PredictWithStd = (%v, %v), want (0, 0)", m.Name(), mu, sd)
+		}
+		means, stds := m.PredictBatch(X)
+		if len(means) != len(X) || len(stds) != len(X) {
+			t.Fatalf("%s: untrained PredictBatch returned %d/%d rows, want %d", m.Name(), len(means), len(stds), len(X))
+		}
+		for i := range X {
+			if means[i] != 0 || stds[i] != 0 {
+				t.Errorf("%s: untrained PredictBatch row %d = (%v, %v), want (0, 0)", m.Name(), i, means[i], stds[i])
+			}
+		}
+		if means, stds := m.PredictBatch(nil); len(means) != 0 || len(stds) != 0 {
+			t.Errorf("%s: empty PredictBatch returned %d/%d rows", m.Name(), len(means), len(stds))
+		}
 	}
 }

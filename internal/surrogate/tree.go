@@ -12,9 +12,6 @@ type TreeConfig struct {
 	MaxDepth int
 	// MinSamplesLeaf is the minimum training rows per leaf.
 	MinSamplesLeaf int
-	// MaxFeatures is the number of features considered per split
-	// (0 = all features).
-	MaxFeatures int
 	// RandomThresholds draws one uniform threshold per candidate feature
 	// instead of scanning all split points — the Extra-Trees splitter.
 	RandomThresholds bool
@@ -28,7 +25,7 @@ func DefaultTreeConfig() TreeConfig {
 	return TreeConfig{MaxDepth: 0, MinSamplesLeaf: 1}
 }
 
-// Tree is a CART regression tree.
+// Tree is a CART regression tree, the building block of Forest and GBRT.
 //
 // Fitting runs over per-feature presorted index arrays computed once per
 // Fit: every feature's index slice is kept partitioned so each tree node
@@ -66,21 +63,16 @@ type walkNode struct {
 	right int32
 }
 
-// buildWalk derives the compact walk array. It requires the preorder
-// left == parent+1 layout build produces (and serialization preserves);
-// if a foreign layout ever shows up, walk stays nil and prediction falls
-// back to the full nodes array.
+// buildWalk derives the compact walk array, the only prediction path. It
+// relies on the preorder layout (left == i+1 < right) that build produces
+// and Unmarshal enforces.
 func (t *Tree) buildWalk() {
 	if cap(t.walk) < len(t.nodes) {
 		t.walk = make([]walkNode, 0, len(t.nodes))
 	}
 	t.walk = t.walk[:0]
-	for i, nd := range t.nodes {
+	for _, nd := range t.nodes {
 		if nd.feature >= 0 {
-			if nd.left != i+1 {
-				t.walk = nil
-				return
-			}
 			t.walk = append(t.walk, walkNode{thr: nd.threshold, feat: int32(nd.feature), right: int32(nd.right)})
 		} else {
 			t.walk = append(t.walk, walkNode{thr: nd.value, feat: -1})
@@ -158,10 +150,7 @@ func NewTree(cfg TreeConfig, r *rand.Rand) *Tree {
 	return &Tree{cfg: cfg, rng: r}
 }
 
-// Name implements Model.
-func (t *Tree) Name() string { return "TREE" }
-
-// Fit implements Model.
+// Fit trains the tree on rows X and targets y.
 func (t *Tree) Fit(X [][]float64, y []float64) error {
 	if t.scratch == nil {
 		t.scratch = &treeScratch{}
@@ -300,18 +289,15 @@ func (t *Tree) build(s *treeScratch, start, end, depth int) int {
 	return node
 }
 
-// bestSplit searches for the SSE-minimizing split over a random subset of
-// features: a single presorted sweep with prefix sums for CART, one random
-// threshold with an O(prefix) accumulation for Extra-Trees. tSum/tSq are the
-// node's total Σy and Σy², already computed by build. RNG consumption
-// matches the old splitter draw for draw (Perm replication, one Float64 per
-// spread-positive ET feature), so per-tree streams are unchanged.
+// bestSplit searches every feature for the SSE-minimizing split: a single
+// presorted sweep with prefix sums for CART, one random threshold with an
+// O(prefix) accumulation for Extra-Trees. tSum/tSq are the node's total Σy
+// and Σy², already computed by build. Features are visited in a rand.Perm
+// order, which breaks cost ties and decides which Extra-Trees feature takes
+// which threshold draw, so the Perm draw is part of every tree's seeded
+// stream.
 func (t *Tree) bestSplit(s *treeScratch, start, end int, tSum, tSq float64, minLeaf int) (feat int, thr float64, ok bool) {
 	d := s.d
-	nFeat := t.cfg.MaxFeatures
-	if nFeat <= 0 || nFeat > d {
-		nFeat = d
-	}
 	// Replicate rand.Perm(d) into the scratch buffer: same algorithm, same
 	// Intn sequence, no allocation.
 	p := s.perm
@@ -324,7 +310,7 @@ func (t *Tree) bestSplit(s *treeScratch, start, end int, tSum, tSq float64, minL
 	best := math.Inf(1)
 	n := s.n
 	m := end - start
-	for _, f := range p[:nFeat] {
+	for _, f := range p {
 		col := s.colX[f*n : (f+1)*n]
 		sf := s.sorted[f][start:end]
 		if t.cfg.RandomThresholds {
@@ -384,28 +370,10 @@ func (t *Tree) bestSplit(s *treeScratch, start, end int, tSum, tSq float64, minL
 	return feat, thr, ok
 }
 
-// Predict implements Model.
+// Predict returns the fitted tree's prediction at x. The tree must be
+// fitted: the ensembles check that once per model, not once per tree.
 func (t *Tree) Predict(x []float64) float64 {
-	if len(t.walk) > 0 {
-		return walkPredict(t.walk, x)
-	}
-	if len(t.nodes) == 0 {
-		return 0
-	}
-	i := 0
-	for t.nodes[i].feature >= 0 {
-		if x[t.nodes[i].feature] <= t.nodes[i].threshold {
-			i = t.nodes[i].left
-		} else {
-			i = t.nodes[i].right
-		}
-	}
-	return t.nodes[i].value
-}
-
-// PredictWithStd implements Model. A single tree has no posterior; std is 0.
-func (t *Tree) PredictWithStd(x []float64) (float64, float64) {
-	return t.Predict(x), 0
+	return walkPredict(t.walk, x)
 }
 
 // Depth returns the fitted tree's depth (for tests and diagnostics).
