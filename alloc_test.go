@@ -70,10 +70,9 @@ func TestAllocCeilings(t *testing.T) {
 		{"PredictBatch/GBRT/pointwise", 0, 0, predictPointwise(gbrt, pool)},
 		{"PredictBatch/GP/batch", 0, 108, predictBatch(gp, pool)},
 		{"PredictBatch/GP/pointwise", 0, 2200, predictPointwise(gp, pool)},
-		{"AskLoop/ET", 0, 3901, askLoop(bo.Config{BaseEstimator: "ET"})},
+		{"AskLoop/ET", 0, 3879, askLoop(bo.Config{BaseEstimator: "ET"})},
 		{"AskLoop/GBRT", 0, 3823, askLoop(bo.Config{BaseEstimator: "GBRT"})},
-		{"AskLoop/GP", 0, 3667, askLoop(bo.Config{BaseEstimator: "GP"})},
-		{"AskLoopLocalRefine", 0, 6042, askLoop(bo.Config{BaseEstimator: "ET", AcqOptimizer: "sampling+local"})},
+		{"AskLoop/GP", 0, 3645, askLoop(bo.Config{BaseEstimator: "GP"})},
 		{"NetworkPath", 0, 3315, func() error {
 			_, err := networkPath.Run(42)
 			return err

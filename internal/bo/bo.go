@@ -55,11 +55,6 @@ type Config struct {
 	// NCandidates is the size of the random candidate pool scanned to
 	// maximize the acquisition function. Default 1000.
 	NCandidates int
-	// AcqOptimizer selects how the acquisition is maximized: "sampling"
-	// (candidate pool only, default) or "sampling+local" (hill-climb the
-	// pool winner through value-space neighbors — one thread-pool step at a
-	// time on integer spaces). Mirrors skopt's acq_optimizer option.
-	AcqOptimizer string
 	// Seed makes the whole optimization deterministic.
 	Seed int64
 }
@@ -79,9 +74,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.NCandidates <= 0 {
 		c.NCandidates = 1000
-	}
-	if c.AcqOptimizer == "" {
-		c.AcqOptimizer = "sampling"
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -251,7 +243,9 @@ func (o *Optimizer) orderedPending() []pendingPoint {
 }
 
 // modelAsk fits the surrogate and maximizes the acquisition over a random
-// candidate pool, scoring the whole pool in one PredictBatch call.
+// candidate pool, scoring the whole pool in one PredictBatch call. The
+// winner is returned as a fresh copy, because the pool's buffers are reused
+// across Asks.
 func (o *Optimizer) modelAsk() []float64 {
 	// Training set: evaluated points plus constant-liar pending points, in
 	// buffers reused across Asks.
@@ -300,9 +294,7 @@ func (o *Optimizer) modelAsk() []float64 {
 		if picks[choice] < 0 {
 			return o.randomUntracked()
 		}
-		c := picks[choice]
-		_, x := o.localRefine(units[c], values[c], model, o.hedge.Funcs[choice], best)
-		return x
+		return append([]float64(nil), values[picks[choice]]...)
 	}
 	bestIdx := -1
 	bestScore := math.Inf(-1)
@@ -314,77 +306,7 @@ func (o *Optimizer) modelAsk() []float64 {
 	if bestIdx < 0 {
 		return o.randomUntracked()
 	}
-	_, x := o.localRefine(units[bestIdx], values[bestIdx], model, o.acq, best)
-	return x
-}
-
-// localRefine hill-climbs the acquisition score from (u, x) through
-// value-space neighbors (when AcqOptimizer is "sampling+local"): integer
-// dimensions move ±1, floats ±2% of their range, categoricals try every
-// choice. Each step enumerates all neighbor moves of the current point,
-// scores them in one PredictBatch call (steepest ascent), and takes the
-// best improving move. Already-proposed points are skipped. Returns the
-// refined point in unit and value space; the returned slices are fresh
-// copies the caller may retain.
-func (o *Optimizer) localRefine(u, x []float64, model surrogate.Model, acq acquisition.Function, best float64) ([]float64, []float64) {
-	cur := append([]float64(nil), u...)
-	curX := append([]float64(nil), x...)
-	if o.cfg.AcqOptimizer != "sampling+local" {
-		return cur, curX
-	}
-	m0, s0 := model.PredictWithStd(cur)
-	curScore := acq.Score(m0, s0, best)
-	var nbrU, nbrX [][]float64
-	for step := 0; step < 32; step++ {
-		nbrU, nbrX = nbrU[:0], nbrX[:0]
-		for j := range o.dims {
-			d := o.dims[j]
-			var moves []float64
-			switch d.Kind {
-			case space.IntKind:
-				moves = []float64{curX[j] - 1, curX[j] + 1}
-			case space.CategoricalKind:
-				for c := 0; c < len(d.Categories); c++ {
-					if float64(c) != curX[j] {
-						moves = append(moves, float64(c))
-					}
-				}
-			default:
-				st := (d.High - d.Low) * 0.02
-				moves = []float64{curX[j] - st, curX[j] + st}
-			}
-			for _, mv := range moves {
-				mv = d.Clip(mv)
-				if !d.Contains(mv) || mv == curX[j] {
-					continue
-				}
-				x2 := append([]float64(nil), curX...)
-				x2[j] = mv
-				if o.isSeen(x2) {
-					continue
-				}
-				u2 := append([]float64(nil), cur...)
-				u2[j] = d.ToUnit(mv)
-				nbrU = append(nbrU, u2)
-				nbrX = append(nbrX, x2)
-			}
-		}
-		if len(nbrU) == 0 {
-			break
-		}
-		means, stds := surrogate.PredictBatch(model, nbrU)
-		bestIdx := -1
-		for i := range nbrU {
-			if sc := acq.Score(means[i], stds[i], best); sc > curScore {
-				curScore, bestIdx = sc, i
-			}
-		}
-		if bestIdx < 0 {
-			break
-		}
-		cur, curX = nbrU[bestIdx], nbrX[bestIdx]
-	}
-	return cur, curX
+	return append([]float64(nil), values[bestIdx]...)
 }
 
 // candidates draws the random pool, excluding already-proposed points. It

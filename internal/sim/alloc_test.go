@@ -67,17 +67,6 @@ func TestZeroAllocSharedJobChurn(t *testing.T) {
 		}
 		e.Run(e.Now() + 100)
 	})
-	// Mixed weights move the resource between its uniform and weighted
-	// paths; the cancel drops the job holding the least remaining work.
-	requireZeroAllocs(t, "weighted sharedJob churn", func() {
-		for i := 0; i < 8; i++ {
-			cpu.Add(1, float64(1+2*(i%2)), done)
-		}
-		j := cpu.Add(0.25, 3, done)
-		e.Run(e.Now() + 0.1)
-		j.Cancel()
-		e.Run(e.Now() + 100)
-	})
 }
 
 func TestZeroAllocLinkTransfer(t *testing.T) {

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"testing"
 )
 
@@ -29,27 +28,16 @@ func BenchmarkEventThroughput(b *testing.B) {
 
 // BenchmarkProcessorSharing measures the PS resource with a steady
 // population of jobs arriving and completing, at several population sizes
-// so the O(jobs) cost of each resource event shows. The weighted variants
-// keep one weight-2 job resident, which holds the resource on its general
-// per-job-rate path.
+// so the O(jobs) cost of each resource event shows.
 func BenchmarkProcessorSharing(b *testing.B) {
-	for _, weighted := range []bool{false, true} {
-		for _, jobs := range []int{4, 64, 512} {
-			name := fmt.Sprintf("jobs=%d", jobs)
-			if weighted {
-				name = "weighted/" + name
-			}
-			b.Run(name, func(b *testing.B) { benchProcessorSharing(b, jobs, weighted) })
-		}
+	for _, jobs := range []int{4, 64, 512} {
+		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) { benchProcessorSharing(b, jobs) })
 	}
 }
 
-func benchProcessorSharing(b *testing.B, jobs int, weighted bool) {
+func benchProcessorSharing(b *testing.B, jobs int) {
 	e := NewEngine()
 	cpu := NewCPU(e, 8)
-	if weighted {
-		cpu.Add(math.MaxFloat64, 2, func() {})
-	}
 	done := 0
 	var spawn func()
 	spawn = func() {
@@ -68,7 +56,6 @@ func benchProcessorSharing(b *testing.B, jobs int, weighted bool) {
 	}
 }
 
-// BenchmarkPoolGrantRelease measures pool queue churn.
 func BenchmarkPoolGrantRelease(b *testing.B) {
 	e := NewEngine()
 	p := NewPool(e, "x", 4)

@@ -216,17 +216,20 @@ func TestSharedResourceUnequalArrival(t *testing.T) {
 	}
 }
 
-func TestSharedResourceWeights(t *testing.T) {
-	e := NewEngine()
-	cpu := NewCPU(e, 1)
-	var heavy, light float64
-	cpu.Add(1, 3, func() { heavy = e.Now() }) // gets 3/4 of the core
-	cpu.Add(1, 1, func() { light = e.Now() }) // gets 1/4
-	e.Run(100)
-	// heavy finishes 1/(3/4) = 4/3; then light has 1 - (4/3)*(1/4) = 2/3
-	// remaining at full rate -> 4/3 + 2/3 = 2.
-	if math.Abs(heavy-4.0/3) > 1e-9 || math.Abs(light-2) > 1e-9 {
-		t.Errorf("heavy=%v light=%v, want 1.333, 2", heavy, light)
+// TestSharedResourceAddRejectsNonUnitWeight: every job weighs 1, so any
+// other weight is a caller bug, zero-work jobs included.
+func TestSharedResourceAddRejectsNonUnitWeight(t *testing.T) {
+	for _, w := range []float64{0, 0.5, 2, math.NaN()} {
+		for _, work := range []float64{0, 1} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("Add(%v, %v) did not panic", work, w)
+					}
+				}()
+				NewCPU(NewEngine(), 1).Add(work, w, func() {})
+			}()
+		}
 	}
 }
 
@@ -279,26 +282,6 @@ func TestGPUBelowSaturationLatencyConstant(t *testing.T) {
 			t.Errorf("below saturation latency %v, want 1", d)
 		}
 	}
-}
-
-func TestSharedResourceCancel(t *testing.T) {
-	e := NewEngine()
-	cpu := NewCPU(e, 1)
-	var a float64
-	bFired := false
-	cpu.Add(2, 1, func() { a = e.Now() })
-	job := cpu.Add(2, 1, func() { bFired = true })
-	e.Schedule(1, job.Cancel)
-	e.Run(100)
-	if bFired {
-		t.Error("cancelled job completed")
-	}
-	// A shares [0,1] (0.5 done), then runs alone: 1 + 1.5 = 2.5.
-	if math.Abs(a-2.5) > 1e-9 {
-		t.Errorf("a done at %v, want 2.5", a)
-	}
-	// Cancelling twice is a no-op.
-	job.Cancel()
 }
 
 // TestAtNaNInfClamped pins the regression where a NaN (or -Inf) target time

@@ -110,15 +110,15 @@ func TestPoolConservationProperty(t *testing.T) {
 func TestHoldNeverCompletes(t *testing.T) {
 	e := NewEngine()
 	cpu := NewCPU(e, 1)
-	release := cpu.Hold(1) // consumes half the core alongside one job
+	cpu.AddHold(1) // consumes half the core alongside one job
 	var done float64
 	cpu.Add(1, 1, func() { done = e.Now() })
 	e.Run(1e6)
 	if math.Abs(done-2) > 1e-9 {
 		t.Errorf("job sharing with equal-weight hold finished at %v, want 2", done)
 	}
-	release()
-	release() // double release is a no-op
+	cpu.RemoveHold(1)
+	cpu.RemoveHold(1) // the hold weight floors at zero
 	if cpu.ActiveWeight() != 0 {
 		t.Errorf("weight after release = %v", cpu.ActiveWeight())
 	}
@@ -137,7 +137,7 @@ func TestHoldNeverCompletes(t *testing.T) {
 func TestHoldUtilizationAccounted(t *testing.T) {
 	e := NewEngine()
 	cpu := NewCPU(e, 4)
-	cpu.Hold(2)
+	cpu.AddHold(2)
 	e.Schedule(10, func() {})
 	e.Run(10)
 	// 2 cores consumed for 10s = 20 work-seconds; utilization 50%.

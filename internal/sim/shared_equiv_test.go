@@ -1,15 +1,16 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 )
 
 // refPS is the reference processor-sharing resource that SharedResource's
-// uniform-weight fast path and cached minimum are checked against: every
-// resource event walks every job and divides once per job, whatever the
-// weights, and the next completion is the minimum of the per-job quotients.
+// shared step and cached minimum are checked against: every resource event
+// walks every job and divides once per job, the next completion is the
+// minimum of the per-job quotients, and the job weight is a running sum.
 type refPS struct {
 	eng              *Engine
 	totalRate        func(float64) float64
@@ -22,9 +23,8 @@ type refPS struct {
 }
 
 type refJob struct {
-	remaining, weight float64
-	onDone            func()
-	live              bool
+	remaining float64
+	onDone    func()
 }
 
 func newRefPS(eng *Engine, totalRate func(float64) float64) *refPS {
@@ -37,38 +37,14 @@ func newRefPS(eng *Engine, totalRate func(float64) float64) *refPS {
 	return s
 }
 
-func (s *refPS) add(work, weight float64, onDone func()) *refJob {
+func (s *refPS) add(work float64, onDone func()) {
 	if work <= 0 {
 		s.eng.Schedule(0, onDone)
-		return nil
-	}
-	s.advance()
-	j := &refJob{remaining: work, weight: weight, onDone: onDone, live: true}
-	s.jobs = append(s.jobs, j)
-	s.jobWeight += weight
-	s.reschedule()
-	return j
-}
-
-func (s *refPS) cancel(j *refJob) {
-	if j == nil || !j.live {
 		return
 	}
 	s.advance()
-	if !j.live {
-		return
-	}
-	for i, other := range s.jobs {
-		if other == j {
-			s.jobs = append(s.jobs[:i], s.jobs[i+1:]...)
-			break
-		}
-	}
-	j.live = false
-	s.jobWeight -= j.weight
-	if len(s.jobs) == 0 {
-		s.jobWeight = 0
-	}
+	s.jobs = append(s.jobs, &refJob{remaining: work, onDone: onDone})
+	s.jobWeight++
 	s.reschedule()
 }
 
@@ -83,9 +59,6 @@ func (s *refPS) hold(dw float64) {
 }
 
 func (s *refPS) dropJobs() {
-	for _, j := range s.jobs {
-		j.live = false
-	}
 	s.jobs = s.jobs[:0]
 	s.jobWeight, s.holds = 0, 0
 }
@@ -131,20 +104,16 @@ func (s *refPS) advance() {
 	s.workInt += total * dt
 	kept := s.jobs[:0]
 	for _, j := range s.jobs {
-		rate := j.weight * total / w
+		rate := total / w
 		j.remaining -= rate * dt
 		if j.remaining <= 1e-12 {
-			s.jobWeight -= j.weight
-			j.live = false
+			s.jobWeight--
 			s.eng.Schedule(0, j.onDone)
 		} else {
 			kept = append(kept, j)
 		}
 	}
 	s.jobs = kept
-	if len(s.jobs) == 0 {
-		s.jobWeight = 0
-	}
 }
 
 func (s *refPS) reschedule() {
@@ -159,7 +128,7 @@ func (s *refPS) reschedule() {
 	}
 	soonest := math.Inf(1)
 	for _, j := range s.jobs {
-		rate := j.weight * total / w
+		rate := total / w
 		if t := j.remaining / rate; t < soonest {
 			soonest = t
 		}
@@ -177,35 +146,63 @@ func (s *refPS) reschedule() {
 }
 
 // TestSharedResourceMatchesReference drives SharedResource and refPS through
-// the same seeded op scripts — unit and non-unit weights, so the resource
-// flips between its uniform and weighted paths both ways; holds; cancels of
-// the minimum job, of a weighted job and of stale handles; Sync, Crash,
-// Reset and WorkIntegral — on CPU and GPU rate curves, from a clock at 0
-// and at 1e7. Every completion instant and every work integral must agree
-// bit for bit.
+// the same seeded op scripts — unit jobs, including zero-work jobs and tied
+// completions; holds of non-unit weight; Sync, Crash, Reset and
+// WorkIntegral — on CPU and GPU rate curves, from a clock at 0 and at 1e7.
+// Every completion instant, every remaining work and every work integral
+// must agree bit for bit.
 func TestSharedResourceMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 48; seed++ {
-		runSharedEquiv(t, seed, 500)
+		runSharedEquiv(t, fmt.Sprintf("seed %d", seed), rand.New(rand.NewSource(seed)), 500)
 	}
 }
+
+// FuzzSharedResource drives the differential script of
+// TestSharedResourceMatchesReference from the fuzzer's bytes, one choice
+// per byte. The seed corpus is in testdata/fuzz/FuzzSharedResource.
+func FuzzSharedResource(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		runSharedEquiv(t, "fuzz input", &byteScript{b: b}, min(len(b), 512))
+	})
+}
+
+// psScript supplies the differential script's choices.
+type psScript interface {
+	Intn(n int) int
+	Float64() float64
+}
+
+// byteScript reads one choice per byte, then zeros once the bytes run out.
+type byteScript struct{ b []byte }
+
+func (s *byteScript) next() byte {
+	if len(s.b) == 0 {
+		return 0
+	}
+	c := s.b[0]
+	s.b = s.b[1:]
+	return c
+}
+
+func (s *byteScript) Intn(n int) int   { return int(s.next()) % n }
+func (s *byteScript) Float64() float64 { return float64(s.next()) / 256 }
 
 type psDone struct {
 	id int
 	t  float64
 }
 
-func runSharedEquiv(t *testing.T, seed int64, nOps int) {
+func runSharedEquiv(t *testing.T, script string, r psScript, nOps int) {
 	t.Helper()
-	r := rand.New(rand.NewSource(seed))
 	eN, eR := NewEngine(), NewEngine()
 	var sN *SharedResource
-	if seed%2 == 0 {
+	if r.Intn(2) == 0 {
 		sN = NewCPU(eN, 2)
 	} else {
 		sN = NewGPU(eN, 3, 4)
 	}
 	sR := newRefPS(eR, sN.TotalRate)
-	if seed%3 == 0 {
+	if r.Intn(3) == 0 {
 		// At a large clock, completions can fall below one ulp of it.
 		eN.Run(1e7)
 		eR.Run(1e7)
@@ -214,17 +211,13 @@ func runSharedEquiv(t *testing.T, seed int64, nOps int) {
 	}
 
 	var logN, logR []psDone
-	type pair struct {
-		nj Job
-		rj *refJob // nil for a zero-work job, which never runs
-	}
-	var jobs []pair
 	var holds []float64
 	weights := []float64{0.5, 2, 3}
+	jobs := 0
 
 	fail := func(op string, format string, args ...any) {
 		t.Helper()
-		t.Fatalf("seed %d after %s: "+format, append([]any{seed, op}, args...)...)
+		t.Fatalf("%s after %s: "+format, append([]any{script, op}, args...)...)
 	}
 	check := func(op string) {
 		t.Helper()
@@ -244,23 +237,26 @@ func runSharedEquiv(t *testing.T, seed int64, nOps int) {
 			fail(op, "%d jobs weight %v, reference %d jobs weight %v",
 				sN.ActiveJobs(), sN.ActiveWeight(), len(sR.jobs), sR.holds+sR.jobWeight)
 		}
-		// A stale count only costs speed (the weighted path is exact too),
-		// so the bookkeeping is checked directly.
-		nonUnit, minRem := 0, math.Inf(1)
-		for _, j := range sN.jobs {
-			if j.weight != 1 {
-				nonUnit++
-			}
-			minRem = math.Min(minRem, j.remaining)
+		if len(sN.done) != len(sN.rem) {
+			fail(op, "%d callbacks for %d jobs", len(sN.done), len(sN.rem))
 		}
-		if sN.nonUnit != nonUnit || sN.minRem != minRem {
-			fail(op, "nonUnit %d minRem %v, want %d and %v", sN.nonUnit, sN.minRem, nonUnit, minRem)
+		minRem := math.Inf(1)
+		for i, rem := range sN.rem {
+			if math.Float64bits(rem) != math.Float64bits(sR.jobs[i].remaining) {
+				fail(op, "job %d remaining %v, reference %v", i, rem, sR.jobs[i].remaining)
+			}
+			minRem = math.Min(minRem, rem)
+		}
+		// The soonest completion divides the cached minimum, so a stale
+		// minRem would show only as a late or early event; check it directly.
+		if math.Float64bits(sN.minRem) != math.Float64bits(minRem) {
+			fail(op, "minRem %v, want %v", sN.minRem, minRem)
 		}
 	}
 
 	for op := 0; op < nOps; op++ {
 		switch k := r.Intn(100); {
-		case k < 35:
+		case k < 40:
 			work := r.Float64() * 3
 			switch r.Intn(10) {
 			case 0:
@@ -268,52 +264,18 @@ func runSharedEquiv(t *testing.T, seed int64, nOps int) {
 			case 1, 2:
 				work = 1 // ties: simultaneous completions
 			}
-			weight := 1.0
-			if r.Intn(4) == 0 {
-				weight = weights[r.Intn(len(weights))]
-			}
-			id := len(jobs)
-			nj := sN.Add(work, weight, func() { logN = append(logN, psDone{id, eN.Now()}) })
-			rj := sR.add(work, weight, func() { logR = append(logR, psDone{id, eR.Now()}) })
-			jobs = append(jobs, pair{nj, rj})
+			id := jobs
+			jobs++
+			sN.Add(work, 1, func() { logN = append(logN, psDone{id, eN.Now()}) })
+			sR.add(work, func() { logR = append(logR, psDone{id, eR.Now()}) })
 			check("add")
-		case k < 42:
-			// Cancel the job with the least remaining work.
-			min := -1
-			for i, p := range jobs {
-				if p.rj != nil && p.rj.live && (min < 0 || p.rj.remaining < jobs[min].rj.remaining) {
-					min = i
-				}
-			}
-			if min >= 0 {
-				jobs[min].nj.Cancel()
-				sR.cancel(jobs[min].rj)
-				check("cancel min")
-			}
-		case k < 47:
-			// Cancel a live non-unit job, else any handle (possibly stale).
-			pick := -1
-			for i, p := range jobs {
-				if p.rj != nil && p.rj.live && p.rj.weight != 1 {
-					pick = i
-					break
-				}
-			}
-			if pick < 0 && len(jobs) > 0 {
-				pick = r.Intn(len(jobs))
-			}
-			if pick >= 0 {
-				jobs[pick].nj.Cancel()
-				sR.cancel(jobs[pick].rj)
-				check("cancel")
-			}
-		case k < 53:
+		case k < 49:
 			w := weights[r.Intn(len(weights))]
 			holds = append(holds, w)
 			sN.AddHold(w)
 			sR.hold(w)
 			check("add hold")
-		case k < 58:
+		case k < 56:
 			if n := len(holds); n > 0 {
 				i := r.Intn(n)
 				w := holds[i]
@@ -322,7 +284,7 @@ func runSharedEquiv(t *testing.T, seed int64, nOps int) {
 				sR.hold(-w)
 				check("remove hold")
 			}
-		case k < 62:
+		case k < 61:
 			sN.Sync()
 			sR.advance()
 			sR.reschedule()
@@ -345,7 +307,7 @@ func runSharedEquiv(t *testing.T, seed int64, nOps int) {
 			sR.reset()
 			holds = holds[:0]
 			check("reset")
-		case k < 80:
+		case k < 82:
 			sn, sr := eN.Step(), eR.Step()
 			if sn != sr {
 				fail("step", "Step returned %v, reference %v", sn, sr)

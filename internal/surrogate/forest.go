@@ -79,12 +79,6 @@ func (f *Forest) Reseed(seed int64) {
 		f.seedSrc.Seed(seed)
 	}
 	for _, t := range f.trees {
-		if t.src == nil { // e.g. a deserialized forest
-			src := rand.NewSource(f.seedRng.Int63())
-			t.src = src
-			t.rng = rand.New(src)
-			continue
-		}
 		t.src.Seed(f.seedRng.Int63())
 	}
 }

@@ -65,41 +65,27 @@ func treeToState(t *Tree) treeState {
 	return s
 }
 
-// treeFromState rebuilds a tree, rejecting any layout the walk cannot
-// follow: a tree needs a node, and a split node i needs
+// loadTree installs an archived node list into t, rejecting any layout
+// the walk cannot follow: a tree needs a node, and a split node i needs
 // left == i+1 < right < len(nodes), the preorder Fit builds, and a feature
 // index that fits the walk's int32. That bounds every descent to strictly
 // increasing in-range indices.
-func treeFromState(s treeState) (*Tree, error) {
+func loadTree(t *Tree, s treeState) error {
 	n := len(s.Nodes)
 	if n == 0 {
-		return nil, fmt.Errorf("surrogate: tree with no nodes")
+		return fmt.Errorf("surrogate: tree with no nodes")
 	}
-	t := NewTree(DefaultTreeConfig(), nil)
 	t.nodes = make([]treeNode, n)
 	for i, nd := range s.Nodes {
 		if nd.Feature >= 0 && (nd.Feature > math.MaxInt32 || nd.Left != i+1 || nd.Right <= nd.Left || nd.Right >= n) {
-			return nil, fmt.Errorf("surrogate: tree node %d is not a preorder split (f=%d l=%d r=%d, %d nodes)",
+			return fmt.Errorf("surrogate: tree node %d is not a preorder split (f=%d l=%d r=%d, %d nodes)",
 				i, nd.Feature, nd.Left, nd.Right, n)
 		}
 		t.nodes[i] = treeNode{feature: nd.Feature, threshold: nd.Threshold,
 			left: nd.Left, right: nd.Right, value: nd.Value, count: nd.Count}
 	}
 	t.buildWalk()
-	return t, nil
-}
-
-// treesFromStates rebuilds a tree list, failing on the first bad tree.
-func treesFromStates(states []treeState) ([]*Tree, error) {
-	trees := make([]*Tree, len(states))
-	for i, ts := range states {
-		t, err := treeFromState(ts)
-		if err != nil {
-			return nil, err
-		}
-		trees[i] = t
-	}
-	return trees, nil
+	return nil
 }
 
 // Marshal serializes a fitted model.
@@ -149,11 +135,19 @@ func Unmarshal(b []byte) (Model, error) {
 		if st.Name != env.Type || len(st.Trees) == 0 {
 			return nil, fmt.Errorf("surrogate: %s payload names %q with %d trees", env.Type, st.Name, len(st.Trees))
 		}
-		trees, err := treesFromStates(st.Trees)
-		if err != nil {
-			return nil, err
+		// The forest is built the way its constructor builds it, so a refit
+		// draws the same tree streams and split settings as a fresh one.
+		newForest := NewExtraTrees
+		if env.Type == "RF" {
+			newForest = NewRandomForest
 		}
-		return &Forest{name: st.Name, trees: trees}, nil
+		f := newForest(ForestConfig{NEstimators: len(st.Trees)}, nil)
+		for i, ts := range st.Trees {
+			if err := loadTree(f.trees[i], ts); err != nil {
+				return nil, err
+			}
+		}
+		return f, nil
 	case "GBRT":
 		st := env.GBRT
 		if st == nil {
@@ -162,14 +156,16 @@ func Unmarshal(b []byte) (Model, error) {
 		if !(st.Rate > 0) {
 			return nil, fmt.Errorf("surrogate: GBRT learning rate %v, want > 0", st.Rate)
 		}
-		stages, err := treesFromStates(st.Stages)
-		if err != nil {
-			return nil, err
-		}
 		g := NewGBRT(GBRTConfig{LearningRate: st.Rate}, nil)
 		g.base = st.Base
 		g.residualStd = st.ResidualStd
-		g.stages = stages
+		g.stages = make([]*Tree, len(st.Stages))
+		for i, ts := range st.Stages {
+			g.stages[i] = NewTree(DefaultTreeConfig(), nil)
+			if err := loadTree(g.stages[i], ts); err != nil {
+				return nil, err
+			}
+		}
 		return g, nil
 	case "GP":
 		st := env.GP

@@ -58,6 +58,46 @@ func TestMarshalRoundTripAllModels(t *testing.T) {
 	}
 }
 
+// TestRefitReloadedForest: a reloaded forest is built like a fresh one, so
+// refitting it draws the same tree streams and split settings (random
+// thresholds for ET, bootstrap for RF) as a fresh forest of its size built
+// with a nil rng, bit for bit.
+func TestRefitReloadedForest(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	Xa, ya := trainSet(r, 60, 3, quadratic)
+	Xb, yb := trainSet(r, 60, 3, quadratic)
+	grid, _ := trainSet(r, 50, 3, quadratic)
+	const n = 20
+	build := map[string]func(ForestConfig, *rand.Rand) *Forest{"ET": NewExtraTrees, "RF": NewRandomForest}
+	for name, mk := range build {
+		archived := mk(ForestConfig{NEstimators: n}, rand.New(rand.NewSource(3)))
+		if err := archived.Fit(Xa, ya); err != nil {
+			t.Fatal(err)
+		}
+		b, err := Marshal(archived)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reloaded, err := Unmarshal(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := mk(ForestConfig{NEstimators: n}, nil)
+		for _, m := range []Model{reloaded, fresh} {
+			if err := m.Fit(Xb, yb); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, x := range grid {
+			rm, rs := reloaded.PredictWithStd(x)
+			fm, fs := fresh.PredictWithStd(x)
+			if math.Float64bits(rm) != math.Float64bits(fm) || math.Float64bits(rs) != math.Float64bits(fs) {
+				t.Fatalf("%s: refit reloaded forest predicts (%v, %v) at %v, fresh forest (%v, %v)", name, rm, rs, x, fm, fs)
+			}
+		}
+	}
+}
+
 func TestMarshalUnfittedGPRejected(t *testing.T) {
 	if _, err := Marshal(NewGP(DefaultGPConfig())); err == nil {
 		t.Error("unfitted GP marshaled")

@@ -17,7 +17,10 @@
 # ask/tell, campaign, sharded-kernel and Table II/III hot paths. A smoke gate
 # runs every kernel benchmark once. A fuzz gate spends 10 s mutating
 # surrogate archives (FuzzUnmarshal), so an archive that hangs or panics
-# a reloaded model fails CI instead of a user's finalize() reload. A single-P
+# a reloaded model fails CI instead of a user's finalize() reload, and
+# another spends 10 s mutating processor-sharing op scripts
+# (FuzzSharedResource), so a SharedResource that drifts from its
+# divide-per-job reference fails CI. A single-P
 # gate re-runs the shard tests under GOMAXPROCS=1, so a shard barrier that
 # needs a second P to make progress fails CI instead of hanging a user's
 # run. Last, it gates the nested bench/ module (the repository benchmark,
@@ -118,6 +121,9 @@ gate kernel-bench go test -run '^$' -bench . -benchtime 1x ./internal/sim/...
 # above; this gate mutates it for a fixed 10 s. A failing input is saved
 # into that corpus, where it then fails the test gate until it is fixed.
 gate fuzz go test -run '^$' -fuzz '^FuzzUnmarshal$' -fuzztime 10s ./internal/surrogate
+# Fuzz gate: SharedResource must match its reference (refPS) bit for bit on
+# any op script; the seed corpus is testdata/fuzz/FuzzSharedResource.
+gate fuzz-ps go test -run '^$' -fuzz '^FuzzSharedResource$' -fuzztime 10s ./internal/sim
 # Single-P gate: the sharded tests with one P, where the barrier's helpers
 # share it with the coordinator (TestShardBarrierStress) and sharded runs
 # go inline; the timeout turns a barrier hang into a failure.
