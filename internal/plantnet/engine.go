@@ -189,8 +189,27 @@ type Metrics struct {
 	NetDelivered   int64
 	NetRetransmits int64
 
-	// Fault-injection outcome taxonomy (all zero when RunOptions.Faults is
-	// nil). GatewayFailures counts in-flight requests failed by a departed
+	// Outcomes counts the fault and resilience-policy outcomes.
+	Outcomes
+	// AvailabilityFraction is Completed/(Completed+FailedRequests), 1 when
+	// nothing failed. Goodput is post-warmup completions/s whose user
+	// response met the policy timeout (== Throughput when no timeout or no
+	// policy) — completions that needed longer than the SLO, e.g. across
+	// retries, do not count.
+	AvailabilityFraction float64
+	Goodput              float64
+
+	Samples []Sample
+	// Traces holds per-request task breakdowns when
+	// RunOptions.TraceRequests > 0.
+	Traces []RequestTrace
+}
+
+// Outcomes is the request-outcome taxonomy of a run, counted where each
+// outcome happens and summed across a sharded run's engines.
+type Outcomes struct {
+	// Fault-injection outcomes (all zero when RunOptions.Faults is nil).
+	// GatewayFailures counts in-flight requests failed by a departed
 	// gateway (closed-loop clients retry through a live one immediately).
 	// CrashRequeues counts requests rescued off a crashed replica and
 	// requeued on a survivor after the seeded failover delay; their
@@ -204,16 +223,15 @@ type Metrics struct {
 	CrashFailures   int64
 	DroppedArrivals int64
 
-	// Resilience-policy outcome counters (all zero when
-	// RunOptions.Resilience is nil). Retries counts re-dispatched
-	// attempts; RetrySuccesses, logical requests that completed after at
-	// least one retry. Hedges counts duplicate arms launched and
-	// HedgeWins the ones that beat their primary. Rerouted counts
-	// failover re-routes off churned gateways (both at submission and in
-	// flight, each paying the surviving uplink). Shed counts arrivals
-	// rejected at the admission watermark, BreakerOpens circuit-breaker
-	// open transitions, and DeadlineExceeded attempts failed past their
-	// per-attempt deadline.
+	// Resilience-policy outcomes (all zero when RunOptions.Resilience is
+	// nil). Retries counts re-dispatched attempts; RetrySuccesses, logical
+	// requests that completed after at least one retry. Hedges counts
+	// duplicate arms launched and HedgeWins the ones that beat their
+	// primary. Rerouted counts failover re-routes off churned gateways
+	// (both at submission and in flight, each paying the surviving uplink).
+	// Shed counts arrivals rejected at the admission watermark,
+	// BreakerOpens circuit-breaker open transitions, and DeadlineExceeded
+	// attempts failed past their per-attempt deadline.
 	Retries          int64
 	RetrySuccesses   int64
 	Hedges           int64
@@ -222,22 +240,29 @@ type Metrics struct {
 	Shed             int64
 	BreakerOpens     int64
 	DeadlineExceeded int64
+
 	// FailedRequests counts terminal logical failures over the whole run
 	// — attempts exhausted under a policy, or (in unpolicied faulted
 	// runs) gateway failures, crash losses and dropped open-loop
-	// arrivals. AvailabilityFraction is Completed/(Completed+Failed),
-	// 1 when nothing failed. Goodput is post-warmup completions/s whose
-	// user response met the policy timeout (== Throughput when no
-	// timeout or no policy) — completions that needed longer than the
-	// SLO, e.g. across retries, do not count.
-	FailedRequests       int64
-	AvailabilityFraction float64
-	Goodput              float64
+	// arrivals.
+	FailedRequests int64
+}
 
-	Samples []Sample
-	// Traces holds per-request task breakdowns when
-	// RunOptions.TraceRequests > 0.
-	Traces []RequestTrace
+// Add adds x's counts to o.
+func (o *Outcomes) Add(x Outcomes) {
+	o.GatewayFailures += x.GatewayFailures
+	o.CrashRequeues += x.CrashRequeues
+	o.CrashFailures += x.CrashFailures
+	o.DroppedArrivals += x.DroppedArrivals
+	o.Retries += x.Retries
+	o.RetrySuccesses += x.RetrySuccesses
+	o.Hedges += x.Hedges
+	o.HedgeWins += x.HedgeWins
+	o.Rerouted += x.Rerouted
+	o.Shed += x.Shed
+	o.BreakerOpens += x.BreakerOpens
+	o.DeadlineExceeded += x.DeadlineExceeded
+	o.FailedRequests += x.FailedRequests
 }
 
 // RequestTrace is the task breakdown of one traced request.
@@ -255,7 +280,7 @@ type RequestTrace struct {
 // completion, and every stage continuation is bound once per node (the
 // closures read req.rep, which is reassigned on reuse) — so the steady-state
 // request pipeline performs zero heap allocations: no request, no closure,
-// no event, no sharedJob, and (in simulated network mode) no transfer.
+// no event, and (in simulated network mode) no transfer.
 type request struct {
 	e         *engine
 	rep       *replica
@@ -377,17 +402,7 @@ func (req *request) bind() {
 			e.finishResilient(req)
 			return
 		}
-		e.completed++
-		resp := e.sim.Now() - req.start
-		e.windowResp.Add(resp)
-		if e.warmupDone {
-			e.respRes.Add(resp)
-			if len(e.traces) < e.traceN {
-				e.traces = append(e.traces, RequestTrace{
-					Start: req.start, Response: resp, Tasks: req.tasks,
-				})
-			}
-		}
+		e.record(req.start, &req.tasks)
 		// Recycle before resubmitting so a closed-loop client reuses its
 		// own node immediately.
 		e.freeReqs = append(e.freeReqs, req)
@@ -408,12 +423,7 @@ func (req *request) bind() {
 func (req *request) bindNet() {
 	e := req.e
 	req.netUp = func() {
-		if e.resOn {
-			if e.netUpGuard(req) {
-				return
-			}
-		} else if e.faultsOn && e.gwDown[req.gw] {
-			e.failGateway(req)
+		if e.resOn && e.lateArm(req) || e.churned(req, req.netUp) {
 			return
 		}
 		if req.hop < len(req.path.up) {
@@ -437,12 +447,9 @@ func (req *request) bindNet() {
 		e.sim.Schedule(e.cal.NetworkRTT/2, req.arrive)
 	}
 	req.netDown = func() {
-		if e.resOn {
-			if e.netDownGuard(req) {
-				return
-			}
-		} else if e.faultsOn && e.gwDown[req.gw] {
-			e.failGateway(req)
+		// The deadline is not re-checked once service completed: a late
+		// response still completes (it just misses the goodput SLO).
+		if e.resOn && e.dropLoser(req) || e.churned(req, req.netDown) {
 			return
 		}
 		if req.hop < len(req.path.down) {
@@ -512,11 +519,6 @@ type engine struct {
 	parked       int     // closed-loop clients waiting for capacity to return
 	extractHold  float64 // per-replica pinned CPU hold, re-added on recovery
 
-	cGatewayFail int64
-	cCrashReq    int64
-	cCrashFail   int64
-	cDropped     int64
-
 	// Resilience-policy state (see resilience.go). resOn gates every
 	// hot-path check, mirroring faultsOn, so policy-free runs take
 	// exactly the branches — and consume exactly the randomness — they
@@ -543,24 +545,16 @@ type engine struct {
 	classLo       []int32 // class -> first gateway index
 	classHi       []int32 // class -> one past last gateway index
 
-	cRetries   int64
-	cRetrySucc int64
-	cHedges    int64
-	cHedgeWins int64
-	cRerouted  int64
-	cShed      int64
-	cBrkOpens  int64
-	cDeadline  int64
-	cFailed    int64
-	goodDone   int64 // completions within the policy timeout (SLO)
+	out      Outcomes // this engine's share of the run's outcome counters
+	goodDone int64    // completions within the policy timeout (SLO)
 
-	// Sharded-kernel state (see sharded.go). shRole is shNone in the
-	// legacy single-engine discipline; every hot-path branch below is
-	// gated on it so legacy runs take exactly the branches they always
-	// did. A domain engine owns one gateway class and its clients; the
-	// core engine owns the replicas and the backhaul. Crossing latencies
-	// are the halves of the client<->replica path that the cross-shard
-	// message itself travels (at least the window width, by construction).
+	// Sharded-kernel state (see sharded.go). shRole is shNone on the
+	// sequential kernel; every hot-path branch below is gated on it so
+	// sequential runs take exactly the branches they always did. A domain
+	// engine owns one gateway class and its clients; the core engine owns
+	// the replicas and the backhaul. Crossing latencies are the halves of
+	// the client<->replica path that the cross-shard message itself
+	// travels (at least the window width, by construction).
 	shRole     uint8
 	shCoreID   int32         // domain: node index of the core shard
 	shRepCount int32         // domain: mirrored replica count (e.reps is empty)
@@ -592,18 +586,23 @@ type engine struct {
 }
 
 // newRequest takes a node from the freelist (or builds and binds a fresh
-// one) and points it at rep.
-func (e *engine) newRequest(rep *replica) *request {
+// one) and points it at replica idx; a domain shard passes -1, since the
+// core picks the replica when the arm crosses.
+//
+//simlint:noalloc steady-state submission reuses freelist nodes; the cold branch is the refill point
+func (e *engine) newRequest(idx int) *request {
 	var req *request
 	if n := len(e.freeReqs); n > 0 {
 		req = e.freeReqs[n-1]
 		e.freeReqs = e.freeReqs[:n-1]
 	} else {
-		req = &request{e: e}
-		req.bind()
-		e.allReqs = append(e.allReqs, req)
+		req = e.newNode() //simlint:allow noallocclosure freelist refill is the sanctioned cold path; steady state pops pooled nodes above
 	}
-	req.rep = rep
+	req.rep = nil
+	if idx >= 0 {
+		req.rep = e.reps[idx]
+	}
+	req.repIdx = int32(idx)
 	req.start = e.sim.Now()
 	req.tasks = [9]float64{}
 	req.ifIdx = -1
@@ -611,6 +610,18 @@ func (e *engine) newRequest(rep *replica) *request {
 	if e.resOn {
 		e.initArm(req)
 	}
+	return req
+}
+
+// newNode is the freelist refill: a fresh node with its stage
+// continuations bound once. Kept out of line so newRequest's steady state
+// stays provably allocation-free.
+//
+//go:noinline
+func (e *engine) newNode() *request {
+	req := &request{e: e}
+	req.bind()
+	e.allReqs = append(e.allReqs, req)
 	return req
 }
 
@@ -710,13 +721,10 @@ func prepareEngine(e *engine, opts RunOptions) *engine {
 	e.faultsOn = !opts.Faults.IsZero() || opts.FaultTimeline != nil
 	e.faultCursor, e.parked = 0, 0
 	e.gwDownCount, e.repDownCount = 0, 0
-	e.cGatewayFail, e.cCrashReq, e.cCrashFail, e.cDropped = 0, 0, 0, 0
 	e.resOn = !opts.Resilience.IsZero()
 	e.resSerial = 0
-	e.cRetries, e.cRetrySucc, e.cHedges, e.cHedgeWins = 0, 0, 0, 0
-	e.cRerouted, e.cShed, e.cBrkOpens, e.cDeadline = 0, 0, 0, 0
-	e.cFailed, e.goodDone = 0, 0
-	// Role state returns to the legacy discipline; the sharded runner
+	e.out, e.goodDone = Outcomes{}, 0
+	// Role state returns to the sequential kernel's; the sharded runner
 	// re-establishes roles after preparing each shard's engine.
 	e.shRole, e.shOut = shNone, nil
 
@@ -1055,54 +1063,52 @@ func (m *Metrics) addCounters(e *engine) {
 			m.NetRetransmits += l.Retransmits()
 		}
 	}
-	m.GatewayFailures += e.cGatewayFail
-	m.CrashRequeues += e.cCrashReq
-	m.CrashFailures += e.cCrashFail
-	m.DroppedArrivals += e.cDropped
-	m.Retries += e.cRetries
-	m.RetrySuccesses += e.cRetrySucc
-	m.Hedges += e.cHedges
-	m.HedgeWins += e.cHedgeWins
-	m.Rerouted += e.cRerouted
-	m.Shed += e.cShed
-	m.BreakerOpens += e.cBrkOpens
-	m.DeadlineExceeded += e.cDeadline
-	m.FailedRequests += e.cFailed
+	m.Outcomes.Add(e.out)
 }
 
 // submit issues one request, assigned round-robin to a replica (and, in
 // simulated network mode, to a gateway), and re-submits on completion
 // (closed loop). Under a fault schedule or a resilience policy the
 // round-robin is managed: dead replicas, departed gateways and open
-// circuit breakers are skipped, and arms are deadline/hedge-armed (see
-// submitManaged).
+// circuit breakers are skipped, and arms are deadline/hedge-armed. With
+// nothing alive the arrival is dropped (open loop) or the client parks
+// until the next join or recovery drains it. A domain shard picks no
+// replica: the core does that when the arm crosses. The replica is picked
+// before the gateway gate, so a dropped arrival still advances the
+// replica round-robin.
 //
 //simlint:noalloc steady-state submission reuses freelist nodes and pre-bound closures
 func (e *engine) submit() {
-	if e.shRole == shDomain {
-		e.submitDomain()
+	if e.noReplica() {
+		e.dropArrival()
 		return
 	}
-	if e.faultsOn || e.resOn {
-		e.submitManaged()
+	idx := -1
+	if e.shRole != shDomain {
+		idx = e.pickReplica()
+	}
+	if e.noGateway() {
+		e.dropArrival()
 		return
 	}
-	rep := e.reps[e.next%len(e.reps)]
-	e.next++
-	req := e.newRequest(rep) //simlint:allow noallocclosure newRequest is the freelist refill point; its cold-branch build is the sanctioned allocation site
-	if e.net != nil {
-		// Device -> engine: gateway uplink, then the shared backhaul.
-		if req.netUp == nil {
-			req.bindNet() //simlint:allow noallocclosure bindNet is the //go:noinline lazy closure-build cold path
+	e.dispatchArm(e.newRequest(idx))
+}
+
+// record accounts one logical completion of a request submitted at start
+// and returns its response time.
+//
+//simlint:noalloc completion accounting (request hot path)
+func (e *engine) record(start float64, tasks *[9]float64) float64 {
+	e.completed++
+	resp := e.sim.Now() - start
+	e.windowResp.Add(resp)
+	if e.warmupDone {
+		e.respRes.Add(resp)
+		if len(e.traces) < e.traceN {
+			e.traces = append(e.traces, RequestTrace{Start: start, Response: resp, Tasks: *tasks})
 		}
-		req.path = &e.net.paths[e.nextGw%len(e.net.paths)]
-		e.nextGw++
-		req.hop = 0
-		req.netUp()
-		return
 	}
-	// Client -> engine network half-RTT.
-	e.sim.Schedule(e.cal.NetworkRTT/2, req.arrive)
+	return resp
 }
 
 // rec records the duration of task idx and resets the task clock.

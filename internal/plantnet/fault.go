@@ -106,8 +106,8 @@ func (e *engine) installFaults(evs []fault.Event, seed int64) {
 	if e.net != nil {
 		ngw = len(e.net.paths)
 	}
-	e.gwDown = resetBools(e.gwDown, ngw)
-	e.repDown = resetBools(e.repDown, e.repCount())
+	e.gwDown = resetSlice(e.gwDown, ngw)
+	e.repDown = resetSlice(e.repDown, e.repCount())
 	if e.shRole != shDomain {
 		if e.faultRng == nil {
 			e.faultRng = rngutil.New(seed + 313)
@@ -123,16 +123,14 @@ func (e *engine) installFaults(evs []fault.Event, seed int64) {
 	}
 }
 
-// resetBools returns a length-n all-false slice reusing b's capacity.
-func resetBools(b []bool, n int) []bool {
-	if cap(b) < n {
-		return make([]bool, n)
+// resetSlice returns a length-n zeroed slice reusing s's capacity.
+func resetSlice[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	b = b[:n]
-	for i := range b {
-		b[i] = false
-	}
-	return b
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // faultStep dispatches the next timeline event. Events are scheduled in
@@ -177,7 +175,9 @@ func (e *engine) faultStep() {
 // (Pool.Crash / SharedResource.Crash keep the monitoring integrals), then
 // every in-flight request is requeued on a surviving replica after a
 // seeded exponential failover delay of mean meanDelay — or counted as
-// lost when no replica survives.
+// lost when no replica survives. Under a policy, arms whose logical
+// request already completed just tear down, and rescued arms keep their
+// deadline, so a slow failover can still time out.
 //
 //simlint:noalloc fault event path (crash/failover, PR 7 contract)
 func (e *engine) crashReplica(ri int, meanDelay float64) {
@@ -198,29 +198,18 @@ func (e *engine) crashReplica(ri int, meanDelay float64) {
 		rep.inflight[i] = nil
 		req.timer.Cancel() // pending download / simsearch-IO stage timer
 		req.ifIdx = -1
-		if e.resOn {
-			e.crashArm(req, alive, meanDelay)
-			continue
+		switch {
+		case e.resOn && e.lostArm(req):
+			e.resolveArm(req)
+		case !alive:
+			e.out.CrashFailures++
+			e.failArm(req)
+		default:
+			e.out.CrashRequeues++
+			req.tasks = [9]float64{}
+			e.reassign(req)
+			e.sim.Schedule(e.faultRng.ExpFloat64()*meanDelay, req.arrive)
 		}
-		if !alive {
-			e.cCrashFail++
-			if e.shRole == shCore {
-				// Sharded: the loss crosses back to the owning domain,
-				// which does the cFailed accounting and parks its client.
-				e.coreEmitFail(req)
-				continue
-			}
-			e.cFailed++
-			e.freeReqs = append(e.freeReqs, req)
-			if !e.openLoop {
-				e.parked++
-			}
-			continue
-		}
-		e.cCrashReq++
-		req.tasks = [9]float64{}
-		e.reassign(req)
-		e.sim.Schedule(e.faultRng.ExpFloat64()*meanDelay, req.arrive)
 	}
 	rep.inflight = rep.inflight[:0]
 }
@@ -282,20 +271,8 @@ func (e *engine) transitionLink(l *sim.Link, ev *fault.Event) {
 func (e *engine) admit(req *request) bool {
 	if e.repDown[req.repIdx] {
 		if e.repDownCount >= len(e.reps) {
-			e.cCrashFail++
-			if e.resOn {
-				e.resolveArm(req)
-				return false
-			}
-			if e.shRole == shCore {
-				e.coreEmitFail(req)
-				return false
-			}
-			e.cFailed++
-			e.freeReqs = append(e.freeReqs, req)
-			if !e.openLoop {
-				e.parked++
-			}
+			e.out.CrashFailures++
+			e.failArm(req)
 			return false
 		}
 		e.reassign(req)
@@ -338,72 +315,58 @@ func (e *engine) untrack(req *request) {
 	req.ifIdx = -1
 }
 
-// failGateway fails a request whose gateway departed while it was in
-// flight — the churn outcome with its own Metrics counter. The node
-// recycles immediately and a closed-loop client retries through the
-// (live-gateway) round-robin at once; requests on the up leg never
-// reached the replica, and requests on the down leg already left it, so
-// no replica resources are held at this point.
+// churned checks an arm's gateway at a network hop. A gateway that
+// departed while the arm was in flight re-routes it, under a failover
+// policy, through the nearest surviving same-class gateway, where leg
+// restarts from hop 0 (the re-routed cost is paid in full); otherwise the
+// arm fails — the churn outcome with its own Metrics counter. Arms on the
+// up leg never reached the replica, and arms on the down leg already left
+// it, so no replica resources are held at this point. True means the arm
+// was consumed.
 //
-//simlint:noalloc fault event path (gateway churn, PR 7 contract)
-func (e *engine) failGateway(req *request) {
-	e.cGatewayFail++
+//simlint:noalloc gateway-churn checkpoint (request hot path)
+func (e *engine) churned(req *request, leg func()) bool {
+	if !e.faultsOn || !e.gwDown[req.gw] {
+		return false
+	}
+	if e.resOn && e.resFailover && e.rerouteGateway(req) {
+		leg()
+		return true
+	}
+	e.out.GatewayFailures++
+	e.failArm(req)
+	return true
+}
+
+// failArm fails one attempt: under a policy the arm retires (and its
+// logical request may retry), otherwise the request fails terminally.
+//
+//simlint:noalloc failure path (request hot path)
+func (e *engine) failArm(req *request) {
+	if e.resOn {
+		e.resolveArm(req)
+		return
+	}
+	e.failRequest(req)
+}
+
+// failRequest is the terminal failure of a logical request. The node
+// recycles and a closed-loop client issues a fresh request at once —
+// through the managed round-robin, so it parks if nothing is alive. On the
+// core shard the failure crosses back to the owning domain, which counts
+// it and resubmits its client.
+//
+//simlint:noalloc terminal-failure path (request hot path)
+func (e *engine) failRequest(req *request) {
 	if e.shRole == shCore {
-		// Sharded: the core detected the churn (global gwDown mirror); the
-		// owning domain does the cFailed accounting and client resubmit.
 		e.coreEmitFail(req)
 		return
 	}
-	e.cFailed++
+	e.out.FailedRequests++
 	e.freeReqs = append(e.freeReqs, req)
 	if !e.openLoop {
 		e.submit()
 	}
-}
-
-// submitManaged is submit() under a fault schedule and/or a resilience
-// policy: the replica round-robin skips dead replicas and open circuit
-// breakers, the gateway round-robin skips departed gateways (failing
-// over to a same-class survivor when the policy routes around churn),
-// and new arms are deadline/hedge-armed. With nothing alive the arrival
-// is dropped (open loop) or the client parks until the next join or
-// recovery drains it. With faults on and no policy this is
-// branch-for-branch the PR 7 submitFaulted.
-//
-//simlint:noalloc fault/policy-aware request submission
-func (e *engine) submitManaged() {
-	n := len(e.reps)
-	if e.faultsOn && e.repDownCount >= n {
-		e.dropArrival()
-		return
-	}
-	idx := e.pickReplica()
-	if e.net != nil {
-		if e.faultsOn && e.gwDownCount >= len(e.net.paths) {
-			e.dropArrival()
-			return
-		}
-		g := e.pickGateway()
-		req := e.newRequest(e.reps[idx]) //simlint:allow noallocclosure newRequest is the freelist refill point; its cold-branch build is the sanctioned allocation site
-		req.repIdx = int32(idx)
-		if req.netUp == nil {
-			req.bindNet() //simlint:allow noallocclosure bindNet is the //go:noinline lazy closure-build cold path
-		}
-		req.path = &e.net.paths[g]
-		req.gw = int32(g)
-		req.hop = 0
-		if e.resOn {
-			e.armRequest(req)
-		}
-		req.netUp()
-		return
-	}
-	req := e.newRequest(e.reps[idx]) //simlint:allow noallocclosure newRequest is the freelist refill point; its cold-branch build is the sanctioned allocation site
-	req.repIdx = int32(idx)
-	if e.resOn {
-		e.armRequest(req)
-	}
-	e.sim.Schedule(e.cal.NetworkRTT/2, req.arrive)
 }
 
 // pickReplica advances the replica round-robin, skipping crashed
@@ -450,7 +413,7 @@ func (e *engine) pickGateway() int {
 		if e.resOn && e.resFailover {
 			if s := e.nearestSameClass(g); s >= 0 {
 				e.nextGw++
-				e.cRerouted++
+				e.out.Rerouted++
 				return s
 			}
 		}
@@ -463,13 +426,28 @@ func (e *engine) pickGateway() int {
 	return g
 }
 
+// noReplica reports whether faults left no replica alive (as mirrored, on
+// a domain shard).
+//
+//simlint:noalloc capacity gate (request hot path)
+func (e *engine) noReplica() bool {
+	return e.faultsOn && e.repDownCount >= e.repCount()
+}
+
+// noGateway reports whether churn left no gateway up.
+//
+//simlint:noalloc capacity gate (request hot path)
+func (e *engine) noGateway() bool {
+	return e.faultsOn && e.net != nil && e.gwDownCount >= len(e.net.paths)
+}
+
 // dropArrival records an arrival that found no live capacity.
 //
 //simlint:noalloc fault event path (PR 7 contract)
 func (e *engine) dropArrival() {
 	if e.openLoop {
-		e.cDropped++
-		e.cFailed++
+		e.out.DroppedArrivals++
+		e.out.FailedRequests++
 		return
 	}
 	e.parked++

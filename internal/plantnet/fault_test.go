@@ -162,8 +162,8 @@ func TestFaultedRunnerReuseBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameRun(t, freshClean, m)
-	if m.GatewayFailures != 0 || m.CrashRequeues != 0 || m.DroppedArrivals != 0 {
-		t.Error("non-faulted run reported fault outcomes")
+	if m.Outcomes != (Outcomes{}) {
+		t.Errorf("non-faulted run reported outcomes %+v", m.Outcomes)
 	}
 }
 
@@ -180,24 +180,18 @@ func assertSameRun(t *testing.T, want, got *Metrics) {
 		{"RespStd", got.UserResponseTime.StdDev, want.UserResponseTime.StdDev},
 		{"P99", got.RespP99, want.RespP99},
 		{"Throughput", got.Throughput, want.Throughput},
+		{"AvailabilityFraction", got.AvailabilityFraction, want.AvailabilityFraction},
+		{"Goodput", got.Goodput, want.Goodput},
 	} {
 		if math.Float64bits(f.got) != math.Float64bits(f.want) {
 			t.Errorf("%s = %.17g, want %.17g (bit-exact)", f.name, f.got, f.want)
 		}
 	}
-	for _, c := range []struct {
-		name      string
-		got, want int64
-	}{
-		{"GatewayFailures", got.GatewayFailures, want.GatewayFailures},
-		{"CrashRequeues", got.CrashRequeues, want.CrashRequeues},
-		{"CrashFailures", got.CrashFailures, want.CrashFailures},
-		{"DroppedArrivals", got.DroppedArrivals, want.DroppedArrivals},
-		{"NetRetransmits", got.NetRetransmits, want.NetRetransmits},
-	} {
-		if c.got != c.want {
-			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
-		}
+	if got.NetRetransmits != want.NetRetransmits {
+		t.Errorf("NetRetransmits = %d, want %d", got.NetRetransmits, want.NetRetransmits)
+	}
+	if got.Outcomes != want.Outcomes {
+		t.Errorf("Outcomes = %+v, want %+v", got.Outcomes, want.Outcomes)
 	}
 }
 

@@ -66,9 +66,9 @@ func (e *engine) setupResilience(opts RunOptions) error {
 	if b := p.Breaker; b != nil {
 		e.resBrkThresh = int32(b.FailureThreshold)
 		e.resBrkOpen = b.Open()
-		e.brkFails = resetInt32s(e.brkFails, len(e.reps))
-		e.brkState = resetUint8s(e.brkState, len(e.reps))
-		e.brkUntil = resetFloat64s(e.brkUntil, len(e.reps))
+		e.brkFails = resetSlice(e.brkFails, len(e.reps))
+		e.brkState = resetSlice(e.brkState, len(e.reps))
+		e.brkUntil = resetSlice(e.brkUntil, len(e.reps))
 	}
 	e.resFailover = p.Failover
 	e.resShedDepth = 0
@@ -81,9 +81,9 @@ func (e *engine) setupResilience(opts RunOptions) error {
 		// buildNetState appends gateways in class declaration order.
 		ngw := len(e.net.paths)
 		nc := len(opts.Network.Classes)
-		e.gwClass = resetInt32s(e.gwClass, ngw)
-		e.classLo = resetInt32s(e.classLo, nc)
-		e.classHi = resetInt32s(e.classHi, nc)
+		e.gwClass = resetSlice(e.gwClass, ngw)
+		e.classLo = resetSlice(e.classLo, nc)
+		e.classHi = resetSlice(e.classHi, nc)
 		g := 0
 		for ci := range opts.Network.Classes {
 			e.classLo[ci] = int32(g)
@@ -95,42 +95,6 @@ func (e *engine) setupResilience(opts RunOptions) error {
 		}
 	}
 	return nil
-}
-
-// resetInt32s returns a length-n zeroed slice reusing s's capacity.
-func resetInt32s(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-// resetUint8s returns a length-n zeroed slice reusing s's capacity.
-func resetUint8s(s []uint8, n int) []uint8 {
-	if cap(s) < n {
-		return make([]uint8, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-// resetFloat64s returns a length-n zeroed slice reusing s's capacity.
-func resetFloat64s(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
 }
 
 // initArm resets a node's policy bookkeeping and derives its private
@@ -183,24 +147,46 @@ func (e *engine) lostArm(req *request) bool {
 }
 
 // arriveGuard runs at a resilient arm's arrival checkpoint: losers tear
-// down, late arms fail the deadline (feeding the breaker), and arrivals
-// above the shed watermark are rejected. True means the arm was
-// consumed.
+// down, late arms fail the deadline, and arrivals above the shed
+// watermark are rejected. True means the arm was consumed.
 //
 //simlint:noalloc resilience arrival checkpoint on the request hot path
 func (e *engine) arriveGuard(req *request) bool {
-	if e.lostArm(req) {
+	if e.lateArm(req) {
+		return true
+	}
+	if e.resShedDepth > 0 && req.rep.http.Queued() >= e.resShedDepth {
+		e.out.Shed++
 		e.resolveArm(req)
 		return true
 	}
+	return false
+}
+
+// lateArm retires an arm whose logical request already completed through
+// another arm, or that passed its deadline (feeding the breaker). True
+// means the arm was consumed.
+//
+//simlint:noalloc resilience checkpoint on the request hot path
+func (e *engine) lateArm(req *request) bool {
+	if e.dropLoser(req) {
+		return true
+	}
 	if e.sim.Now() > req.deadline {
-		e.cDeadline++
+		e.out.DeadlineExceeded++
 		e.brkFail(req.repIdx)
 		e.resolveArm(req)
 		return true
 	}
-	if e.resShedDepth > 0 && req.rep.http.Queued() >= e.resShedDepth {
-		e.cShed++
+	return false
+}
+
+// dropLoser retires an arm whose logical request already completed
+// through another arm.
+//
+//simlint:noalloc resilience checkpoint on the request hot path
+func (e *engine) dropLoser(req *request) bool {
+	if e.lostArm(req) {
 		e.resolveArm(req)
 		return true
 	}
@@ -219,63 +205,11 @@ func (e *engine) grantGuard(req *request) bool {
 	req.rep.http.Release()
 	e.untrack(req)
 	if !lost {
-		e.cDeadline++
+		e.out.DeadlineExceeded++
 		e.brkFail(req.repIdx)
 	}
 	e.resolveArm(req)
 	return true
-}
-
-// netUpGuard runs at every uplink hop: losers tear down, late arms fail
-// the deadline, and arms headed at a departed gateway fail over to a
-// same-class survivor (re-traversing the surviving uplink from hop 0 —
-// the re-routed cost) or fail the arm.
-//
-//simlint:noalloc resilience uplink checkpoint on the request hot path
-func (e *engine) netUpGuard(req *request) bool {
-	if e.lostArm(req) {
-		e.resolveArm(req)
-		return true
-	}
-	if e.sim.Now() > req.deadline {
-		e.cDeadline++
-		e.brkFail(req.repIdx)
-		e.resolveArm(req)
-		return true
-	}
-	if e.faultsOn && e.gwDown[req.gw] {
-		if e.resFailover && e.rerouteGateway(req) {
-			req.netUp()
-			return true
-		}
-		e.cGatewayFail++
-		e.resolveArm(req)
-		return true
-	}
-	return false
-}
-
-// netDownGuard is netUpGuard for the response path. The deadline is not
-// re-checked once service completed — a late response still completes
-// (it just misses the goodput SLO); a departed gateway re-routes the
-// response through a survivor or fails the arm.
-//
-//simlint:noalloc resilience downlink checkpoint on the request hot path
-func (e *engine) netDownGuard(req *request) bool {
-	if e.lostArm(req) {
-		e.resolveArm(req)
-		return true
-	}
-	if e.faultsOn && e.gwDown[req.gw] {
-		if e.resFailover && e.rerouteGateway(req) {
-			req.netDown()
-			return true
-		}
-		e.cGatewayFail++
-		e.resolveArm(req)
-		return true
-	}
-	return false
 }
 
 // resolveArm retires one arm. Hedge arms recycle immediately; when the
@@ -312,9 +246,8 @@ func (e *engine) resolveArm(req *request) {
 }
 
 // failLogical handles a logical request whose every arm failed: retry
-// with decorrelated-jitter backoff while attempts remain, else count a
-// terminal failure (a closed-loop client then issues a fresh request —
-// through the managed round-robin, so it parks if nothing is alive).
+// with decorrelated-jitter backoff while attempts remain, else fail it
+// terminally.
 //
 //simlint:noalloc retry/terminal-failure path (request hot path)
 func (e *engine) failLogical(p *request) {
@@ -323,17 +256,13 @@ func (e *engine) failLogical(p *request) {
 		p.attempts++
 		p.retried = true
 		p.arms = 1
-		e.cRetries++
+		e.out.Retries++
 		d := resilience.NextBackoff(&p.rstate, e.resRetryBase, e.resRetryCap, p.prevDelay)
 		p.prevDelay = d
 		e.sim.Schedule(d, p.retryFn)
 		return
 	}
-	e.cFailed++
-	e.freeReqs = append(e.freeReqs, p)
-	if !e.openLoop {
-		e.submit()
-	}
+	e.failRequest(p)
 }
 
 // redispatch re-issues a logical request after its backoff: a fresh
@@ -342,11 +271,7 @@ func (e *engine) failLogical(p *request) {
 //
 //simlint:noalloc retry redispatch (event path)
 func (e *engine) redispatch(p *request) {
-	if e.faultsOn && e.repDownCount >= e.repCount() {
-		e.failLogical(p)
-		return
-	}
-	if e.net != nil && e.faultsOn && e.gwDownCount >= len(e.net.paths) {
+	if e.noReplica() || e.noGateway() {
 		e.failLogical(p)
 		return
 	}
@@ -359,59 +284,55 @@ func (e *engine) redispatch(p *request) {
 	e.dispatchArm(p)
 }
 
-// dispatchArm arms and routes one attempt (retry or hedge) through the
-// network or the analytical half-RTT, exactly like a fresh submission.
+// dispatchArm routes one arm — a fresh submission, a retry or a hedge —
+// through the network or the analytical half-RTT; under a policy it is
+// deadline/hedge-armed first.
 //
 //simlint:noalloc arm dispatch (request hot path)
 func (e *engine) dispatchArm(req *request) {
-	e.armRequest(req)
+	if e.resOn {
+		e.armRequest(req)
+	}
 	if e.net != nil {
-		if req.netUp == nil {
-			req.bindNet() //simlint:allow noallocclosure bindNet is the //go:noinline lazy closure-build cold path
-		}
-		g := e.pickGateway()
-		req.path = &e.net.paths[g]
-		req.gw = int32(g)
-		req.hop = 0
-		req.netUp()
+		e.walkUp(req, e.pickGateway())
 		return
 	}
 	e.sim.Schedule(e.cal.NetworkRTT/2, req.arrive)
 }
 
+// walkUp starts req's uplink walk through gateway g (device -> engine:
+// the gateway uplink, then the shared backhaul).
+//
+//simlint:noalloc uplink start (request hot path)
+func (e *engine) walkUp(req *request, g int) {
+	if req.netUp == nil {
+		req.bindNet() //simlint:allow noallocclosure bindNet is the //go:noinline lazy closure-build cold path
+	}
+	req.path = &e.net.paths[g]
+	req.gw = int32(g)
+	req.hop = 0
+	req.netUp()
+}
+
 // launchHedge fires when a primary arm's hedge timer expires: if the
 // logical request is still undecided and capacity exists, a duplicate
-// arm launches on (preferably) another replica; first response wins.
+// arm launches on (preferably) another replica; first response wins. On a
+// domain shard the core picks the replica when the hedge crosses, and the
+// hedge message carries the primary's token so it can prefer another one.
 //
 //simlint:noalloc hedge launch (event path)
 func (e *engine) launchHedge(p *request) {
-	if p.won || p.arms != 1 {
+	if p.won || p.arms != 1 || e.noReplica() || e.noGateway() {
 		return
 	}
-	if e.faultsOn && e.repDownCount >= e.repCount() {
-		return
+	idx := -1
+	if e.shRole != shDomain {
+		idx = e.pickReplicaNot(int(p.repIdx))
 	}
-	if e.net != nil && e.faultsOn && e.gwDownCount >= len(e.net.paths) {
-		return
-	}
-	if e.shRole == shDomain {
-		// The replica is picked by the core at crossing arrival; the hedge
-		// message carries the primary's token so the core can prefer a
-		// different replica than the primary's.
-		h := e.newRequest(nil) //simlint:allow noallocclosure newRequest is the freelist refill point; its cold-branch build is the sanctioned allocation site
-		h.repIdx = -1
-		h.pri = p
-		p.arms = 2
-		e.cHedges++
-		e.dispatchArm(h)
-		return
-	}
-	idx := e.pickReplicaNot(int(p.repIdx))
-	h := e.newRequest(e.reps[idx]) //simlint:allow noallocclosure newRequest is the freelist refill point; its cold-branch build is the sanctioned allocation site
-	h.repIdx = int32(idx)
+	h := e.newRequest(idx)
 	h.pri = p
 	p.arms = 2
-	e.cHedges++
+	e.out.Hedges++
 	e.dispatchArm(h)
 }
 
@@ -430,7 +351,7 @@ func (e *engine) pickReplicaNot(avoid int) int {
 // finishResilient is the completion checkpoint: the first arm of a
 // logical request to finish wins — accounting happens exactly once, on
 // the primary's clock — and every other arm tears down at its next
-// checkpoint. Mirrors the unpolicied finish accounting bit-for-bit.
+// checkpoint.
 //
 //simlint:noalloc resilience completion path (request hot path)
 func (e *engine) finishResilient(req *request) {
@@ -446,25 +367,14 @@ func (e *engine) finishResilient(req *request) {
 	p.won = true
 	p.hedgeEv.Cancel()
 	if hedgeArm {
-		e.cHedgeWins++
+		e.out.HedgeWins++
 	}
 	if p.retried {
-		e.cRetrySucc++
+		e.out.RetrySuccesses++
 	}
 	e.brkOk(req.repIdx)
-	e.completed++
-	resp := e.sim.Now() - p.start
-	if resp <= e.resTimeout {
+	if e.record(p.start, &req.tasks) <= e.resTimeout {
 		e.goodDone++
-	}
-	e.windowResp.Add(resp)
-	if e.warmupDone {
-		e.respRes.Add(resp)
-		if len(e.traces) < e.traceN {
-			e.traces = append(e.traces, RequestTrace{
-				Start: p.start, Response: resp, Tasks: req.tasks,
-			})
-		}
 	}
 	// Recycle before resubmitting so a closed-loop client reuses its own
 	// node immediately (matching the unpolicied finish).
@@ -472,28 +382,6 @@ func (e *engine) finishResilient(req *request) {
 	if !e.openLoop {
 		e.submit()
 	}
-}
-
-// crashArm is the per-arm crash outcome under a policy: losers just tear
-// down, arms with no survivor fail (retryably), rescued arms requeue on
-// a survivor after the seeded failover delay — keeping their deadline,
-// so a slow failover can still time out.
-//
-//simlint:noalloc crash handling under a policy (event path)
-func (e *engine) crashArm(req *request, alive bool, meanDelay float64) {
-	if e.lostArm(req) {
-		e.resolveArm(req)
-		return
-	}
-	if !alive {
-		e.cCrashFail++
-		e.resolveArm(req)
-		return
-	}
-	e.cCrashReq++
-	req.tasks = [9]float64{}
-	e.reassign(req)
-	e.sim.Schedule(e.faultRng.ExpFloat64()*meanDelay, req.arrive)
 }
 
 // brkSkip reports whether the routing round-robin should pass over
@@ -533,12 +421,12 @@ func (e *engine) brkFail(ri int32) {
 			e.brkFails[i] = 0
 			e.brkState[i] = brkOpen
 			e.brkUntil[i] = e.sim.Now() + e.resBrkOpen
-			e.cBrkOpens++
+			e.out.BreakerOpens++
 		}
 	case brkHalfOpen, brkProbing:
 		e.brkState[i] = brkOpen
 		e.brkUntil[i] = e.sim.Now() + e.resBrkOpen
-		e.cBrkOpens++
+		e.out.BreakerOpens++
 	}
 }
 
@@ -586,7 +474,7 @@ func (e *engine) rerouteGateway(req *request) bool {
 	if s < 0 {
 		return false
 	}
-	e.cRerouted++
+	e.out.Rerouted++
 	req.gw = int32(s)
 	req.path = &e.net.paths[s]
 	req.hop = 0

@@ -70,40 +70,6 @@ func TestResilienceGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameRun(t, m, m2)
-	assertSameResilience(t, m, m2)
-}
-
-func assertSameResilience(t *testing.T, want, got *Metrics) {
-	t.Helper()
-	for _, c := range []struct {
-		name      string
-		got, want int64
-	}{
-		{"FailedRequests", got.FailedRequests, want.FailedRequests},
-		{"Retries", got.Retries, want.Retries},
-		{"RetrySuccesses", got.RetrySuccesses, want.RetrySuccesses},
-		{"Hedges", got.Hedges, want.Hedges},
-		{"HedgeWins", got.HedgeWins, want.HedgeWins},
-		{"Rerouted", got.Rerouted, want.Rerouted},
-		{"Shed", got.Shed, want.Shed},
-		{"BreakerOpens", got.BreakerOpens, want.BreakerOpens},
-		{"DeadlineExceeded", got.DeadlineExceeded, want.DeadlineExceeded},
-	} {
-		if c.got != c.want {
-			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
-		}
-	}
-	for _, f := range []struct {
-		name      string
-		got, want float64
-	}{
-		{"AvailabilityFraction", got.AvailabilityFraction, want.AvailabilityFraction},
-		{"Goodput", got.Goodput, want.Goodput},
-	} {
-		if math.Float64bits(f.got) != math.Float64bits(f.want) {
-			t.Errorf("%s = %.17g, want %.17g (bit-exact)", f.name, f.got, f.want)
-		}
-	}
 }
 
 // A nil policy and the zero policy must leave runs bit-identical to the

@@ -214,15 +214,7 @@ func (e *engine) domainResolve(m *shard.Msg) {
 	// msgFail: the attempt died on the core side (deadline, shed, crash
 	// loss, churned gateway). The taxonomy counter lives on the core; the
 	// domain runs the logical outcome.
-	if e.resOn {
-		e.resolveArm(req)
-		return
-	}
-	e.cFailed++
-	e.freeReqs = append(e.freeReqs, req)
-	if !e.openLoop {
-		e.submit() // resubmits through live capacity, or parks via dropArrival
-	}
+	e.failArm(req)
 }
 
 // coreArrive admits an up-message: pick a live replica (preferring not to
@@ -231,9 +223,9 @@ func (e *engine) domainResolve(m *shard.Msg) {
 //
 //simlint:noalloc up-message admission reuses freelist nodes (request hot path)
 func (e *engine) coreArrive(m *shard.Msg) {
-	if e.faultsOn && e.repDownCount >= len(e.reps) {
+	if e.noReplica() {
 		// Crossed while the last replica was down: the no-survivor loss.
-		e.cCrashFail++
+		e.out.CrashFailures++
 		e.coreFailTok(m.Src, m.Token)
 		return
 	}
@@ -246,23 +238,16 @@ func (e *engine) coreArrive(m *shard.Msg) {
 	if idx < 0 {
 		idx = e.pickReplica()
 	}
-	req := e.newRequest(e.reps[idx]) //simlint:allow noallocclosure newRequest is the freelist refill point; its cold-branch build is the sanctioned allocation site
-	req.repIdx = int32(idx)
+	req := e.newRequest(idx)
 	req.shSrc = m.Src
 	req.shTok = m.Token
 	e.setTokRep(m.Src, m.Token, int32(idx))
-	if req.netUp == nil {
-		req.bindNet() //simlint:allow noallocclosure bindNet is the //go:noinline lazy closure-build cold path
-	}
-	req.gw = m.Ref
-	req.path = &e.net.paths[m.Ref]
-	req.hop = 0
 	if e.resOn {
 		// Overwrite initArm's +Inf with the deadline the domain stamped
 		// (same virtual clock on both shards).
 		req.deadline = m.F0
 	}
-	req.netUp()
+	e.walkUp(req, int(m.Ref))
 }
 
 // coreCrossDown sends a completed arm's response back to its domain; the
@@ -272,7 +257,8 @@ func (e *engine) coreArrive(m *shard.Msg) {
 func (e *engine) coreCrossDown(req *request) {
 	if e.resOn {
 		// Every core completion is a replica success (the domain decides
-		// wins); deviation: legacy credits breakers only on winning arms.
+		// wins); the sequential kernel credits breakers only on winning
+		// arms.
 		e.brkOk(req.repIdx)
 	}
 	e.clearTokRep(req.shSrc, req.shTok)
@@ -298,37 +284,6 @@ func (e *engine) coreEmitFail(req *request) {
 //simlint:noalloc cross-shard failure emission (event path)
 func (e *engine) coreFailTok(dst int32, tok int64) {
 	e.shOut.Send(dst, shard.Msg{At: e.sim.Now() + e.shDownLat, Kind: msgFail, Token: tok})
-}
-
-// submitDomain is submit() on a domain shard: no replica to pick (the core
-// does that at crossing arrival), but the mirrored replica count and local
-// gateway state gate admission exactly like submitManaged.
-//
-//simlint:noalloc domain-side submission reuses freelist nodes (request hot path)
-func (e *engine) submitDomain() {
-	if e.faultsOn {
-		if e.repDownCount >= int(e.shRepCount) {
-			e.dropArrival()
-			return
-		}
-		if e.gwDownCount >= len(e.net.paths) {
-			e.dropArrival()
-			return
-		}
-	}
-	g := e.pickGateway()
-	req := e.newRequest(nil) //simlint:allow noallocclosure newRequest is the freelist refill point; its cold-branch build is the sanctioned allocation site
-	req.repIdx = -1
-	if req.netUp == nil {
-		req.bindNet() //simlint:allow noallocclosure bindNet is the //go:noinline lazy closure-build cold path
-	}
-	req.path = &e.net.paths[g]
-	req.gw = int32(g)
-	req.hop = 0
-	if e.resOn {
-		e.armRequest(req)
-	}
-	req.netUp()
 }
 
 // mirrorReplica tracks global replica liveness on a domain shard (the

@@ -107,31 +107,42 @@ func shardedNetModel(packet bool) *NetworkModel {
 
 // TestShardedShardCountInvariance is the tentpole determinism contract: a
 // faulted, policied, simulated-network run must be bit-identical for every
-// Shards >= 2 — the shard count is only the worker count.
+// Shards >= 2 — the shard count is only the worker count. The hedge case
+// drops the faults and hedges at 1.5 s, so hedge arms cross to the core and
+// race their primaries.
 func TestShardedShardCountInvariance(t *testing.T) {
-	for _, packet := range []bool{false, true} {
-		name := "payload"
-		if packet {
-			name = "packet"
+	chaos := func() *fault.Spec {
+		return &fault.Spec{
+			GatewayChurn:   &fault.Churn{MeanUpSeconds: 40, MeanDownSeconds: 6},
+			ReplicaCrashes: []fault.Crash{{Replica: 1, AtSeconds: 50, RecoverAfterSeconds: 25}},
 		}
-		t.Run(name, func(t *testing.T) {
+	}
+	for _, c := range []struct {
+		name   string
+		packet bool
+		faults *fault.Spec
+		hedge  float64
+		pin    string // fingerprintHash of the reference run, when pinned
+	}{
+		{"payload", false, chaos(), 6, ""},
+		{"packet", true, chaos(), 6, ""},
+		{"hedge", false, nil, 1.5, "bace1c19194c7bb2"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
 			opts := RunOptions{
 				Pools:    Baseline,
 				Clients:  40,
-				Network:  shardedNetModel(packet),
+				Network:  shardedNetModel(c.packet),
 				Replicas: 2,
 				Duration: 120,
 				Warmup:   30,
 				Seed:     17,
 				Shards:   2,
-				Faults: &fault.Spec{
-					GatewayChurn:   &fault.Churn{MeanUpSeconds: 40, MeanDownSeconds: 6},
-					ReplicaCrashes: []fault.Crash{{Replica: 1, AtSeconds: 50, RecoverAfterSeconds: 25}},
-				},
+				Faults:   c.faults,
 				Resilience: &resilience.Policy{
 					TimeoutSeconds: 12,
 					Retry:          &resilience.Retry{Max: 2},
-					Hedge:          &resilience.Hedge{DelaySeconds: 6},
+					Hedge:          &resilience.Hedge{DelaySeconds: c.hedge},
 					Failover:       true,
 					Shed:           &resilience.Shed{QueueDepth: 200},
 				},
@@ -143,6 +154,12 @@ func TestShardedShardCountInvariance(t *testing.T) {
 			}
 			if ref.Completed == 0 {
 				t.Fatal("sharded reference run completed nothing")
+			}
+			if c.faults == nil && (ref.Hedges == 0 || ref.HedgeWins > ref.Hedges) {
+				t.Errorf("hedges=%d wins=%d, want hedges > 0 and wins <= hedges", ref.Hedges, ref.HedgeWins)
+			}
+			if got := fingerprintHash(ref); c.pin != "" && got != c.pin {
+				t.Errorf("reference fingerprint %s, want %s", got, c.pin)
 			}
 			want := metricsFingerprint(ref)
 			for _, shards := range []int{3, 4, 8} {

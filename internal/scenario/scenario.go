@@ -625,8 +625,7 @@ func (s Scenario) Run(seed int64) (*Result, error) {
 	var pooled stats.Welford
 	var thrSec, p95Sec, goodSec, elapsed float64
 	completed := 0
-	var gwFail, crashReq, crashFail, dropped int64
-	var failed, retries, retrySucc, hedges, hedgeWins, rerouted, shedded, brkOpens, deadline int64
+	var out plantnet.Outcomes
 	for i, pr := range runs {
 		opts := plantnet.RunOptions{
 			Pools:          d.Pools,
@@ -659,19 +658,7 @@ func (s Scenario) Run(seed int64) (*Result, error) {
 			p95Sec += m.RespP95 * pr.duration
 			goodSec += m.Goodput * pr.duration
 			completed += m.Completed
-			gwFail += m.GatewayFailures
-			crashReq += m.CrashRequeues
-			crashFail += m.CrashFailures
-			dropped += m.DroppedArrivals
-			failed += m.FailedRequests
-			retries += m.Retries
-			retrySucc += m.RetrySuccesses
-			hedges += m.Hedges
-			hedgeWins += m.HedgeWins
-			rerouted += m.Rerouted
-			shedded += m.Shed
-			brkOpens += m.BreakerOpens
-			deadline += m.DeadlineExceeded
+			out.Add(m.Outcomes)
 		}
 		thrSec += rep.Throughput * pr.duration
 		elapsed += pr.duration
@@ -689,8 +676,8 @@ func (s Scenario) Run(seed int64) (*Result, error) {
 		respMean = engine.Mean
 	}
 	availability := 1.0
-	if completed+int(failed) > 0 {
-		availability = float64(completed) / float64(completed+int(failed))
+	if failed := int(out.FailedRequests); completed+failed > 0 {
+		availability = float64(completed) / float64(completed+failed)
 	}
 	return &Result{
 		Name:                 d.Name,
@@ -704,19 +691,19 @@ func (s Scenario) Run(seed int64) (*Result, error) {
 		RespP95:              p95Sec / (elapsed * float64(d.Repeats)),
 		Throughput:           thrSec / elapsed,
 		Completed:            completed,
-		FaultGatewayFailures: int(gwFail),
-		FaultCrashRequeues:   int(crashReq),
-		FaultCrashFailures:   int(crashFail),
-		FaultDropped:         int(dropped),
-		Failed:               int(failed),
-		Retries:              int(retries),
-		RetrySuccesses:       int(retrySucc),
-		Hedges:               int(hedges),
-		HedgeWins:            int(hedgeWins),
-		Rerouted:             int(rerouted),
-		Shed:                 int(shedded),
-		BreakerOpens:         int(brkOpens),
-		DeadlineExceeded:     int(deadline),
+		FaultGatewayFailures: int(out.GatewayFailures),
+		FaultCrashRequeues:   int(out.CrashRequeues),
+		FaultCrashFailures:   int(out.CrashFailures),
+		FaultDropped:         int(out.DroppedArrivals),
+		Failed:               int(out.FailedRequests),
+		Retries:              int(out.Retries),
+		RetrySuccesses:       int(out.RetrySuccesses),
+		Hedges:               int(out.Hedges),
+		HedgeWins:            int(out.HedgeWins),
+		Rerouted:             int(out.Rerouted),
+		Shed:                 int(out.Shed),
+		BreakerOpens:         int(out.BreakerOpens),
+		DeadlineExceeded:     int(out.DeadlineExceeded),
 		Goodput:              goodSec / (elapsed * float64(d.Repeats)),
 		Availability:         availability,
 	}, nil
