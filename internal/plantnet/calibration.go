@@ -74,21 +74,21 @@ type Calibration struct {
 // reproduction.
 func DefaultCalibration() Calibration {
 	return Calibration{
-		PreProcessWork:  sim.LogNormal{MeanV: 0.012, CV: 0.25},
-		ProcessWork:     sim.LogNormal{MeanV: 0.035, CV: 0.25},
-		PostProcessWork: sim.LogNormal{MeanV: 0.012, CV: 0.25},
+		PreProcessWork:  sim.NewLogNormal(0.012, 0.25),
+		ProcessWork:     sim.NewLogNormal(0.035, 0.25),
+		PostProcessWork: sim.NewLogNormal(0.012, 0.25),
 
-		DownloadTime:      sim.LogNormal{MeanV: 0.22, CV: 0.35},
+		DownloadTime:      sim.NewLogNormal(0.22, 0.35),
 		DownloadCPUWeight: 0.2,
 
-		ExtractWork:       sim.LogNormal{MeanV: 1.0, CV: 0.12},
+		ExtractWork:       sim.NewLogNormal(1.0, 0.12),
 		GPURate:           33.0,
 		GPUSatConcurrency: 6,
 		GPUOversubPenalty: 0.04,
 		ExtractThreadCPU:  0.9,
 
-		SimsearchCPUWork: sim.LogNormal{MeanV: 0.46, CV: 0.25},
-		SimsearchIOTime:  sim.LogNormal{MeanV: 0.33, CV: 0.30},
+		SimsearchCPUWork: sim.NewLogNormal(0.46, 0.25),
+		SimsearchIOTime:  sim.NewLogNormal(0.33, 0.30),
 
 		GPUMemBaseGB:      1.3,
 		GPUMemPerThreadGB: 1.25,

@@ -733,7 +733,7 @@ func prepareEngine(e *engine, opts RunOptions) *engine {
 		if k <= 0 {
 			return 0
 		}
-		rate := cal.GPURate * math.Min(k, cal.GPUSatConcurrency) / cal.GPUSatConcurrency
+		rate := cal.GPURate * min(k, cal.GPUSatConcurrency) / cal.GPUSatConcurrency
 		if over := k - cal.GPUSatConcurrency; over > 0 {
 			rate /= 1 + cal.GPUOversubPenalty*over
 		}

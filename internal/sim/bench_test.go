@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -23,6 +24,47 @@ func BenchmarkEventThroughput(b *testing.B) {
 	}
 	if n < b.N {
 		b.Fatalf("fired %d of %d", n, b.N)
+	}
+}
+
+// BenchmarkDenseBucket keeps 64 events resident within a fraction of one
+// 1/32 s bucket: each firing schedules its successor up to bucketW/8
+// ahead, so nearly every pop comes from a front heap of about 64 entries,
+// the case BenchmarkEventThroughput (one resident event) never builds.
+func BenchmarkDenseBucket(b *testing.B) {
+	const resident = 64
+	var delays [1024]float64
+	r := rand.New(rand.NewSource(1))
+	for i := range delays {
+		delays[i] = r.Float64() * bucketW / 8
+	}
+	e := NewEngine()
+	n := 0
+	var tick func()
+	tick = func() {
+		n++
+		e.Schedule(delays[n%len(delays)], tick)
+	}
+	for i := 0; i < resident; i++ {
+		e.Schedule(delays[i], tick)
+	}
+	b.ResetTimer()
+	for n < b.N && e.Step() {
+	}
+}
+
+// BenchmarkLogNormalSample measures one service-time draw through the Dist
+// interface, as the Pl@ntNet engine makes it, at the process stage's
+// calibration.
+func BenchmarkLogNormalSample(b *testing.B) {
+	var d Dist = NewLogNormal(0.035, 0.25)
+	r := rand.New(rand.NewSource(1))
+	sum := 0.0
+	for i := 0; i < b.N; i++ {
+		sum += d.Sample(r)
+	}
+	if !(sum >= 0) {
+		b.Fatalf("draws sum to %v", sum)
 	}
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"container/heap"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -156,13 +157,22 @@ func newFireFn(log *[]fireRec, now func() float64, sched func(delay float64, fn 
 
 func TestCalendarMatchesReferenceHeap(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
-		runCalendarEquiv(t, seed, 400)
+		runCalendarEquiv(t, fmt.Sprintf("seed %d", seed), rand.New(rand.NewSource(seed)), 400)
 	}
 }
 
-func runCalendarEquiv(t *testing.T, seed int64, nOps int) {
+// FuzzCalendar drives the ladder against refEngine from fuzz bytes, one
+// choice per byte. The seed corpus (testdata/fuzz/FuzzCalendar) holds a
+// dense single bucket of over a hundred co-resident events and a script
+// that crosses maxBucketable into the flat-heap degrade path.
+func FuzzCalendar(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		runCalendarEquiv(t, "fuzz input", &byteScript{b: b}, min(len(b), 512))
+	})
+}
+
+func runCalendarEquiv(t *testing.T, script string, r opScript, nOps int) {
 	t.Helper()
-	r := rand.New(rand.NewSource(seed))
 	eNew := NewEngine()
 	eOld := &refEngine{}
 	var logNew, logOld []fireRec
@@ -211,18 +221,18 @@ func runCalendarEquiv(t *testing.T, seed int64, nOps int) {
 
 	check := func(op string) {
 		if len(logNew) != len(logOld) {
-			t.Fatalf("seed %d after %s: fired %d vs reference %d", seed, op, len(logNew), len(logOld))
+			t.Fatalf("%s after %s: fired %d vs reference %d", script, op, len(logNew), len(logOld))
 		}
 		for i := range logNew {
 			if logNew[i].id != logOld[i].id || math.Float64bits(logNew[i].t) != math.Float64bits(logOld[i].t) {
-				t.Fatalf("seed %d after %s: fire %d = %+v, reference %+v", seed, op, i, logNew[i], logOld[i])
+				t.Fatalf("%s after %s: fire %d = %+v, reference %+v", script, op, i, logNew[i], logOld[i])
 			}
 		}
 		if math.Float64bits(eNew.Now()) != math.Float64bits(eOld.now) {
-			t.Fatalf("seed %d after %s: now %v vs reference %v", seed, op, eNew.Now(), eOld.now)
+			t.Fatalf("%s after %s: now %v vs reference %v", script, op, eNew.Now(), eOld.now)
 		}
 		if eNew.Pending() != eOld.Pending() {
-			t.Fatalf("seed %d after %s: pending %d vs reference %d", seed, op, eNew.Pending(), eOld.Pending())
+			t.Fatalf("%s after %s: pending %d vs reference %d", script, op, eNew.Pending(), eOld.Pending())
 		}
 	}
 
@@ -230,8 +240,12 @@ func runCalendarEquiv(t *testing.T, seed int64, nOps int) {
 		switch k := r.Intn(100); {
 		case k < 45:
 			schedulePair(randDelay(), false)
-		case k < 55:
+		case k < 54:
 			schedulePair(eNew.Now()+r.Float64()*5-2, true) // absolute, possibly past
+		case k < 55:
+			// Beyond maxBucketable buckets: once it is the calendar's
+			// earliest event, the ladder degrades to one flat heap.
+			schedulePair(maxBucketable*bucketW*(2+2*r.Float64()), true)
 		case k < 65:
 			if len(handles) > 0 {
 				p := handles[r.Intn(len(handles))]
@@ -245,13 +259,13 @@ func runCalendarEquiv(t *testing.T, seed int64, nOps int) {
 				gotN := eNew.Reschedule(p.nev, target)
 				gotO := eOld.Reschedule(p.oev, target)
 				if gotN != gotO {
-					t.Fatalf("seed %d: Reschedule returned %v, reference %v", seed, gotN, gotO)
+					t.Fatalf("%s: Reschedule returned %v, reference %v", script, gotN, gotO)
 				}
 			}
 		case k < 80:
 			sn, so := eNew.Step(), eOld.Step()
 			if sn != so {
-				t.Fatalf("seed %d: Step returned %v, reference %v", seed, sn, so)
+				t.Fatalf("%s: Step returned %v, reference %v", script, sn, so)
 			}
 			check("step")
 		default:
@@ -260,9 +274,53 @@ func runCalendarEquiv(t *testing.T, seed int64, nOps int) {
 			eOld.Run(until)
 			check("run")
 		}
+		checkCalendarTiers(t, script, eNew)
 	}
 	// Drain both calendars completely.
 	eNew.Run(1e9)
 	eOld.Run(1e9)
 	check("final drain")
+	checkCalendarTiers(t, script, eNew)
+}
+
+// checkCalendarTiers checks the ladder's structure: front and over are
+// min-heaps of the package's arity, every entry lies in its tier's time range (a ring
+// entry in its bucket's slot), every node's loc/slot/pos back-pointer names
+// the place that holds it, and the tiers hold exactly the live events.
+func checkCalendarTiers(t *testing.T, script string, e *Engine) {
+	t.Helper()
+	checkHeap := func(name string, h []entry, l loc, inRange func(float64) bool) {
+		t.Helper()
+		for i, ent := range h {
+			if i > 0 && entryLess(ent, h[(i-1)/arity]) {
+				t.Fatalf("%s: %s[%d] %+v precedes its parent %+v", script, name, i, ent, h[(i-1)/arity])
+			}
+			if !inRange(ent.time) {
+				t.Fatalf("%s: %s[%d] at t=%v is outside the tier", script, name, i, ent.time)
+			}
+			if nd := e.nodes[ent.idx]; nd.loc != l || int(nd.pos) != i {
+				t.Fatalf("%s: %s[%d] node says loc %d pos %d", script, name, i, nd.loc, nd.pos)
+			}
+		}
+	}
+	checkHeap("front", e.front, locFront, func(at float64) bool { return at < e.frontEnd })
+	checkHeap("over", e.over, locOver, func(at float64) bool { return at >= e.ringEnd })
+	ringN := 0
+	for s, sl := range e.ring {
+		for i, ent := range sl {
+			if ent.time < e.frontEnd || ent.time >= e.ringEnd || int(int64(ent.time*invBucketW)&ringMask) != s {
+				t.Fatalf("%s: ring[%d][%d] at t=%v is outside its bucket", script, s, i, ent.time)
+			}
+			if nd := e.nodes[ent.idx]; nd.loc != locRing || int(nd.slot) != s || int(nd.pos) != i {
+				t.Fatalf("%s: ring[%d][%d] node says loc %d slot %d pos %d", script, s, i, nd.loc, nd.slot, nd.pos)
+			}
+		}
+		ringN += len(sl)
+	}
+	if ringN != e.ringN {
+		t.Fatalf("%s: ring holds %d entries, count says %d", script, ringN, e.ringN)
+	}
+	if n := len(e.front) + ringN + len(e.over); n != e.live {
+		t.Fatalf("%s: tiers hold %d entries, %d events are live", script, n, e.live)
+	}
 }

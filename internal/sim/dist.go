@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 )
@@ -40,26 +41,46 @@ func (d Uniform) Sample(r *rand.Rand) float64 { return d.Low + r.Float64()*(d.Hi
 // Mean implements Dist.
 func (d Uniform) Mean() float64 { return (d.Low + d.High) / 2 }
 
-// LogNormal is parameterized directly by its mean and the coefficient of
-// variation CV (stddev/mean), which is how service-time variability is
-// naturally specified when calibrating against measured latencies.
+// LogNormal is parameterized by its mean and the coefficient of variation
+// CV (stddev/mean), which is how service-time variability is naturally
+// specified when calibrating against measured latencies. Build one with
+// NewLogNormal: it derives the underlying normal's parameters once, so a
+// draw costs one normal variate and one Exp.
 type LogNormal struct {
-	MeanV float64
-	CV    float64
+	mean, cv  float64
+	mu, sigma float64
+}
+
+// NewLogNormal returns the lognormal distribution with the given mean and
+// coefficient of variation. A CV of zero or less is the constant mean. It
+// panics on a mean that is not finite and positive, or on a NaN or
+// infinite CV: either would make every draw NaN.
+func NewLogNormal(mean, cv float64) LogNormal {
+	if !(mean > 0) || math.IsInf(mean, 1) {
+		panic(fmt.Sprintf("sim: LogNormal mean must be finite and positive, got %v", mean))
+	}
+	if math.IsNaN(cv) || math.IsInf(cv, 0) {
+		panic(fmt.Sprintf("sim: LogNormal CV must be finite, got %v", cv))
+	}
+	sigma2 := math.Log(1 + cv*cv)
+	return LogNormal{
+		mean:  mean,
+		cv:    cv,
+		mu:    math.Log(mean) - sigma2/2,
+		sigma: math.Sqrt(sigma2),
+	}
 }
 
 // Sample implements Dist.
 func (d LogNormal) Sample(r *rand.Rand) float64 {
-	if d.CV <= 0 {
-		return d.MeanV
+	if d.cv <= 0 {
+		return d.mean
 	}
-	sigma2 := math.Log(1 + d.CV*d.CV)
-	mu := math.Log(d.MeanV) - sigma2/2
-	return math.Exp(mu + math.Sqrt(sigma2)*r.NormFloat64())
+	return math.Exp(d.mu + d.sigma*r.NormFloat64())
 }
 
 // Mean implements Dist.
-func (d LogNormal) Mean() float64 { return d.MeanV }
+func (d LogNormal) Mean() float64 { return d.mean }
 
 // TruncNormal is a normal distribution truncated at zero (resampled).
 type TruncNormal struct{ MeanV, StdDev float64 }

@@ -370,7 +370,7 @@ func TestDistributions(t *testing.T) {
 		Deterministic{V: 2},
 		Exponential{MeanV: 0.5},
 		Uniform{Low: 1, High: 3},
-		LogNormal{MeanV: 1.5, CV: 0.4},
+		NewLogNormal(1.5, 0.4),
 		TruncNormal{MeanV: 2, StdDev: 0.5},
 	}
 	for _, d := range dists {
@@ -390,11 +390,19 @@ func TestDistributions(t *testing.T) {
 	}
 }
 
+// TestLogNormalZeroCV pins the constant case: a CV of zero or less
+// returns the mean and draws nothing, so the stream continues as a twin
+// source's that was never sampled.
 func TestLogNormalZeroCV(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	d := LogNormal{MeanV: 2, CV: 0}
-	if d.Sample(r) != 2 {
-		t.Error("CV=0 should be deterministic")
+	for _, cv := range []float64{0, -0.5} {
+		r, twin := rand.New(rand.NewSource(1)), rand.New(rand.NewSource(1))
+		d := NewLogNormal(2, cv)
+		if d.Sample(r) != 2 {
+			t.Errorf("CV=%v should be deterministic", cv)
+		}
+		if got, want := r.Int63(), twin.Int63(); got != want {
+			t.Errorf("CV=%v drew from the stream: next Int63 %d, twin %d", cv, got, want)
+		}
 	}
 }
 

@@ -78,7 +78,7 @@ func NewSharedResource(eng *Engine, maxRate float64, totalRate func(float64) flo
 // it. Exposed so pooled callers resetting a CPU (SharedResource.Reset
 // rebinds the curve per run) share one source of truth with NewCPU.
 func CPURate(cores float64) func(float64) float64 {
-	return func(w float64) float64 { return math.Min(w, cores) }
+	return func(w float64) float64 { return min(w, cores) }
 }
 
 // NewCPU returns a processor-sharing CPU with the given core count.
@@ -93,7 +93,7 @@ func NewGPU(eng *Engine, peak float64, ksat float64) *SharedResource {
 		if w <= 0 {
 			return 0
 		}
-		return peak * math.Min(w, ksat) / ksat
+		return peak * min(w, ksat) / ksat
 	})
 }
 
@@ -272,14 +272,21 @@ func (s *SharedResource) advance() {
 			s.eng.Schedule(0, s.done[i])
 			continue
 		}
-		s.rem[n], s.done[n] = r, s.done[i]
+		s.rem[n] = r
+		if n != i {
+			// A callback store is a pointer write behind the GC write
+			// barrier; only the survivors after a completion move.
+			s.done[n] = s.done[i]
+		}
 		n++
 		if r < minRem {
 			minRem = r
 		}
 	}
-	clear(s.done[n:])
-	s.rem, s.done = s.rem[:n], s.done[:n]
+	if n < len(s.done) {
+		clear(s.done[n:])
+		s.rem, s.done = s.rem[:n], s.done[:n]
+	}
 	s.minRem = minRem
 }
 

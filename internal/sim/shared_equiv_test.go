@@ -166,8 +166,9 @@ func FuzzSharedResource(f *testing.F) {
 	})
 }
 
-// psScript supplies the differential script's choices.
-type psScript interface {
+// opScript supplies a differential script's choices: a seeded *rand.Rand
+// for the property tests, fuzz bytes for the fuzz targets.
+type opScript interface {
 	Intn(n int) int
 	Float64() float64
 }
@@ -192,7 +193,7 @@ type psDone struct {
 	t  float64
 }
 
-func runSharedEquiv(t *testing.T, script string, r psScript, nOps int) {
+func runSharedEquiv(t *testing.T, script string, r opScript, nOps int) {
 	t.Helper()
 	eN, eR := NewEngine(), NewEngine()
 	var sN *SharedResource

@@ -20,7 +20,10 @@
 # a reloaded model fails CI instead of a user's finalize() reload, and
 # another spends 10 s mutating processor-sharing op scripts
 # (FuzzSharedResource), so a SharedResource that drifts from its
-# divide-per-job reference fails CI. A single-P
+# divide-per-job reference fails CI, and a third spends 10 s mutating
+# calendar op scripts (FuzzCalendar), so a ladder whose firing order drifts
+# from the single-heap reference, or whose 4-ary heaps or node back-pointers
+# break, fails CI. A single-P
 # gate re-runs the shard tests under GOMAXPROCS=1, so a shard barrier that
 # needs a second P to make progress fails CI instead of hanging a user's
 # run. Last, it gates the nested bench/ module (the repository benchmark,
@@ -124,6 +127,10 @@ gate fuzz go test -run '^$' -fuzz '^FuzzUnmarshal$' -fuzztime 10s ./internal/sur
 # Fuzz gate: SharedResource must match its reference (refPS) bit for bit on
 # any op script; the seed corpus is testdata/fuzz/FuzzSharedResource.
 gate fuzz-ps go test -run '^$' -fuzz '^FuzzSharedResource$' -fuzztime 10s ./internal/sim
+# Fuzz gate: the ladder calendar must fire in the reference heap's order and
+# keep its tier invariants on any op script; the seed corpus is
+# testdata/fuzz/FuzzCalendar.
+gate fuzz-calendar go test -run '^$' -fuzz '^FuzzCalendar$' -fuzztime 10s ./internal/sim
 # Single-P gate: the sharded tests with one P, where the barrier's helpers
 # share it with the coordinator (TestShardBarrierStress) and sharded runs
 # go inline; the timeout turns a barrier hang into a failure.
