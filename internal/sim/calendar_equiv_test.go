@@ -244,7 +244,8 @@ func runCalendarEquiv(t *testing.T, script string, r opScript, nOps int) {
 			schedulePair(eNew.Now()+r.Float64()*5-2, true) // absolute, possibly past
 		case k < 55:
 			// Beyond maxBucketable buckets: once it is the calendar's
-			// earliest event, the ladder degrades to one flat heap.
+			// earliest event, the ladder degrades to one flat heap. The
+			// final Step drain below fires every such event.
 			schedulePair(maxBucketable*bucketW*(2+2*r.Float64()), true)
 		case k < 65:
 			if len(handles) > 0 {
@@ -276,24 +277,34 @@ func runCalendarEquiv(t *testing.T, script string, r opScript, nOps int) {
 		}
 		checkCalendarTiers(t, script, eNew)
 	}
-	// Drain both calendars completely.
 	eNew.Run(1e9)
 	eOld.Run(1e9)
+	check("final run")
+	// Drain both calendars completely, past maxBucketable if need be.
+	for eNew.Step() {
+		if !eOld.Step() {
+			t.Fatalf("%s: reference calendar ran dry first", script)
+		}
+		checkCalendarTiers(t, script, eNew)
+	}
+	if eOld.Step() {
+		t.Fatalf("%s: ladder ran dry first", script)
+	}
 	check("final drain")
 	checkCalendarTiers(t, script, eNew)
 }
 
 // checkCalendarTiers checks the ladder's structure: front and over are
-// min-heaps of the package's arity, every entry lies in its tier's time range (a ring
-// entry in its bucket's slot), every node's loc/slot/pos back-pointer names
-// the place that holds it, and the tiers hold exactly the live events.
+// binary min-heaps, every entry lies in its tier's time range (a ring entry
+// in its bucket's slot), every node's loc/slot/pos back-pointer names the
+// place that holds it, and the tiers hold exactly the live events.
 func checkCalendarTiers(t *testing.T, script string, e *Engine) {
 	t.Helper()
 	checkHeap := func(name string, h []entry, l loc, inRange func(float64) bool) {
 		t.Helper()
 		for i, ent := range h {
-			if i > 0 && entryLess(ent, h[(i-1)/arity]) {
-				t.Fatalf("%s: %s[%d] %+v precedes its parent %+v", script, name, i, ent, h[(i-1)/arity])
+			if i > 0 && entryLess(ent, h[(i-1)/2]) {
+				t.Fatalf("%s: %s[%d] %+v precedes its parent %+v", script, name, i, ent, h[(i-1)/2])
 			}
 			if !inRange(ent.time) {
 				t.Fatalf("%s: %s[%d] at t=%v is outside the tier", script, name, i, ent.time)

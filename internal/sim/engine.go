@@ -11,17 +11,16 @@
 //
 // The event calendar is a two-tier ladder instead of one big binary heap:
 //
-//   - front: a small 4-ary min-heap ordered by (time, seq) holding only the
+//   - front: a small flat min-heap ordered by (time, seq) holding only the
 //     events of the bucket the clock is currently in. All pops come from
-//     here, so the per-event heap work is O(log₄ bucketSize), not
-//     O(log totalEvents); four children per node make the heap half as
-//     deep as a binary one.
+//     here, so the per-event heap work is O(log bucketSize), not
+//     O(log totalEvents).
 //   - ring: ringSlots unsorted buckets of bucketW seconds each, covering the
 //     near future (curB, curB+ringSlots). Insertion is an O(1) append; a
 //     bucket is heapified into front only when the clock reaches it.
-//   - over: an overflow 4-ary min-heap for events beyond the ring horizon.
-//     Events migrate ring-ward (at most once each) when the horizon
-//     advances past them.
+//   - over: an overflow min-heap for events beyond the ring horizon. Events
+//     migrate ring-ward (at most once each) when the horizon advances past
+//     them.
 //
 // Event nodes live in an arena recycled through a generation-counted
 // freelist, and Event handles are plain values (arena index + generation),
@@ -418,17 +417,7 @@ func (e *Engine) rebase(b int64) {
 	}
 }
 
-// --- 4-ary (time, seq) min-heaps with arena position tracking -------------
-//
-// Both heap tiers (front and over) are d-ary with d = arity: node i's
-// parent is (i-1)/arity and its children are arity*i+1 … arity*i+arity.
-// Four children per node halve the depth of a binary heap, so a pop moves
-// half as many entries and position back-pointers (LaMarca & Ladner, "The
-// influence of caches on the performance of heaps", JEA 1996). entryLess is
-// a total order on (time, seq), so the pop sequence does not depend on the
-// arity.
-
-const arity = 4
+// --- flat (time, seq) min-heaps with arena position tracking ---------------
 
 //simlint:noalloc
 func (e *Engine) heapifyFront() {
@@ -437,10 +426,8 @@ func (e *Engine) heapifyFront() {
 		nd := &e.nodes[ent.idx]
 		nd.loc, nd.pos = locFront, int32(i)
 	}
-	if n := len(h); n > 1 {
-		for i := (n - 2) / arity; i >= 0; i-- {
-			e.siftDown(h, i, locFront)
-		}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		e.siftDown(h, i, locFront)
 	}
 }
 
@@ -448,7 +435,7 @@ func (e *Engine) heapifyFront() {
 func (e *Engine) siftUp(h []entry, i int, l loc) {
 	ent := h[i]
 	for i > 0 {
-		p := (i - 1) / arity
+		p := (i - 1) / 2
 		if !entryLess(ent, h[p]) {
 			break
 		}
@@ -461,47 +448,23 @@ func (e *Engine) siftUp(h []entry, i int, l loc) {
 	nd.loc, nd.pos = l, int32(i)
 }
 
-// siftDown moves h[i] down to its place. A full sibling group picks its
-// least child by a two-round tournament (written for arity 4), whose first
-// two compares are independent; it beat an in-order scan of the group on
-// BenchmarkDenseBucket. Only the last parent can have a partial group,
-// which is scanned in order.
-//
 //simlint:noalloc
 func (e *Engine) siftDown(h []entry, i int, l loc) {
 	n := len(h)
 	ent := h[i]
 	for {
-		c := arity*i + 1
+		c := 2*i + 1
 		if c >= n {
 			break
 		}
-		if c+arity <= n {
-			g := h[c : c+arity : c+arity]
-			a, b := 0, 2
-			if entryLess(g[1], g[0]) {
-				a = 1
-			}
-			if entryLess(g[3], g[2]) {
-				b = 3
-			}
-			if entryLess(g[b], g[a]) {
-				a = b
-			}
-			c += a
-		} else {
-			for j := c + 1; j < n; j++ {
-				if entryLess(h[j], h[c]) {
-					c = j
-				}
-			}
+		if r := c + 1; r < n && entryLess(h[r], h[c]) {
+			c = r
 		}
-		least := h[c]
-		if !entryLess(least, ent) {
+		if !entryLess(h[c], ent) {
 			break
 		}
-		h[i] = least
-		e.nodes[least.idx].pos = int32(i)
+		h[i] = h[c]
+		e.nodes[h[i].idx].pos = int32(i)
 		i = c
 	}
 	h[i] = ent
@@ -536,7 +499,7 @@ func (e *Engine) heapRemove(h *[]entry, l loc, i int) {
 	*h = s[:last]
 	s = s[:last]
 	if i < last {
-		if i > 0 && entryLess(s[i], s[(i-1)/arity]) {
+		if i > 0 && entryLess(s[i], s[(i-1)/2]) {
 			e.siftUp(s, i, l)
 		} else {
 			e.siftDown(s, i, l)

@@ -22,7 +22,7 @@
 # (FuzzSharedResource), so a SharedResource that drifts from its
 # divide-per-job reference fails CI, and a third spends 10 s mutating
 # calendar op scripts (FuzzCalendar), so a ladder whose firing order drifts
-# from the single-heap reference, or whose 4-ary heaps or node back-pointers
+# from the single-heap reference, or whose heaps or node back-pointers
 # break, fails CI. A single-P
 # gate re-runs the shard tests under GOMAXPROCS=1, so a shard barrier that
 # needs a second P to make progress fails CI instead of hanging a user's
