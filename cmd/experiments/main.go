@@ -235,7 +235,7 @@ func fig8() error {
 // optimum) with the resource-usage panels a-g.
 func fig9() error {
 	t := export.NewTable("Fig. 9 — impact of extract thread pool (OAT, workload 80)",
-		"extract", "resp (s)", "wait-extract (s)", "extract (s)", "simsearch (s)",
+		"extract", "resp (s)", "thr (req/s)", "wait-extract (s)", "extract (s)", "simsearch (s)",
 		"CPU", "GPU mem (GB)", "sys mem (GB)", "GPU power (W)", "extract busy", "simsearch busy")
 	for e := 5; e <= 9; e++ {
 		cfg := plantnet.PoolConfig{HTTP: 54, Download: 54, Extract: e, Simsearch: 53}
@@ -244,7 +244,7 @@ func fig9() error {
 			return err
 		}
 		m := r.Runs[0]
-		t.AddRow(e, r.UserResponseTime.Mean,
+		t.AddRow(e, r.UserResponseTime.Mean, fmt.Sprintf("%.1f", r.Throughput),
 			m.TaskTimes["wait-extract"].Mean, m.TaskTimes["extract"].Mean, m.TaskTimes["simsearch"].Mean,
 			fmt.Sprintf("%.0f%%", m.CPUUtil.Mean*100), m.GPUMemGB, m.SysMemGB,
 			fmt.Sprintf("%.0f", m.GPUPowerW.Mean),

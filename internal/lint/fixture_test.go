@@ -11,9 +11,11 @@ import (
 
 // fixtureExports resolves export data once for every fixture test; go list
 // is module-aware, so resolution runs from the repository root. rngutil is
-// included so the rngshare fixture can exercise module stream types.
+// included so the rngshare fixture can exercise module stream types, and
+// par so the goroutine, stalesuppress and rngshare fixtures can call
+// par.For.
 var fixtureExports = sync.OnceValues(func() (map[string]string, error) {
-	return LoadExports("../..", "time", "math/rand", "sort", "e2clab/internal/rngutil")
+	return LoadExports("../..", "time", "math/rand", "sort", "e2clab/internal/rngutil", "e2clab/internal/par")
 })
 
 // expectation is one parsed `// want "regex"` marker. The optional signed

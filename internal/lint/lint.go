@@ -31,8 +31,9 @@
 //   - rngseed:    rand.NewSource / rand.New seeds that are hard-coded
 //     literals or derived from the wall clock instead of tracing to a
 //     parameter, field, or rngutil derivation.
-//   - goroutine:  bare `go` statements in the deterministic packages
-//     outside functions blessed with //simlint:ordered.
+//   - goroutine:  bare `go` statements, and calls to par.For (the one
+//     sanctioned fan-out), in the deterministic packages outside functions
+//     blessed with //simlint:ordered.
 //   - noalloc:    functions annotated //simlint:noalloc are cross-checked
 //     against `go tool compile -m` escape analysis; any "escapes to heap"
 //     or "moved to heap" diagnostic inside the function body fails.
@@ -41,15 +42,17 @@
 //     that is neither proven itself nor inlined at the call site is a
 //     finding, so the contract cannot be hollowed out one helper at a time.
 //   - rngshare:   a *rand.Rand (or rngutil stream) captured by more than
-//     one spawned goroutine, spawned repeatedly from a loop, or drawn on
-//     by both the spawner and a goroutine, in the deterministic packages —
-//     the nondeterminism class -race only catches when draws collide.
+//     one spawned goroutine, spawned repeatedly from a loop (a par.For
+//     body counts as one), or drawn on by both the spawner and a
+//     goroutine, in the deterministic packages — the nondeterminism class
+//     -race only catches when draws collide.
 //   - kernelsync: wall-clock and scheduler blocking primitives
 //     (sync.Mutex, sync/atomic, channel operations, select, time.Sleep)
 //     inside the kernel packages (KernelPackages): virtual time must never
 //     block on the Go runtime.
 //   - stalesuppress: a //simlint:allow that suppresses nothing, a
-//     //simlint:ordered on a function that spawns nothing, or a dead
+//     //simlint:ordered on a function that spawns nothing (no go statement,
+//     no par.For call), or a dead
 //     //simlint:noalloc (no body, or duplicated) is itself a finding —
 //     the suppression inventory can only shrink honestly.
 //   - directive:  hygiene of the //simlint: comments themselves (unknown
@@ -117,6 +120,10 @@ var DeterministicPackages = []string{
 	// KernelPackages: kernelsync keeps the single-threaded kernel free of
 	// synchronization, and this one blessed package holds all of it.
 	"e2clab/internal/sim/shard",
+	// par.For holds the only other go statement in these packages: every
+	// repeated-run, suite, trial and surrogate fan-out goes through it, and
+	// the goroutine check treats each call as a go statement.
+	"e2clab/internal/par",
 	"e2clab/internal/fault",
 	"e2clab/internal/resilience",
 	"e2clab/internal/plantnet",

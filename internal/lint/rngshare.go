@@ -23,6 +23,10 @@ import (
 //   - a stream captured by a `go` statement and also used outside any
 //     goroutine in the same function (spawner and worker interleave).
 //
+// A func-literal body passed to par.For counts as a goroutine spawned in a
+// loop: every worker runs it, so a stream it captures from outside the
+// call is one cursor shared by all of them.
+//
 // A stream stored into a struct that is then handed to goroutines is
 // tracked one alias hop deep: `w := worker{rng: rng}; go w.run()` counts
 // as the goroutine capturing rng, while the binding itself does not count
@@ -80,10 +84,12 @@ func (k streamKey) name() string {
 }
 
 // goSpawn is one `go` statement plus the innermost for/range enclosing it
-// within the function (nil when not spawned from a loop).
+// within the function (nil when not spawned from a loop), or one par.For
+// body: the func literal, with the par.For call as its loop.
 type goSpawn struct {
-	stmt *ast.GoStmt
-	loop ast.Node
+	stmt   ast.Node
+	loop   ast.Node
+	parFor bool
 }
 
 func rngShareInFunc(prog *Program, pkg *Package, fd *ast.FuncDecl) []Diagnostic {
@@ -95,7 +101,8 @@ func rngShareInFunc(prog *Program, pkg *Package, fd *ast.FuncDecl) []Diagnostic 
 			stack = stack[:len(stack)-1]
 			return true
 		}
-		if gs, ok := n.(*ast.GoStmt); ok {
+		switch x := n.(type) {
+		case *ast.GoStmt:
 			var loop ast.Node
 			for i := len(stack) - 1; i >= 0 && loop == nil; i-- {
 				switch stack[i].(type) {
@@ -103,7 +110,14 @@ func rngShareInFunc(prog *Program, pkg *Package, fd *ast.FuncDecl) []Diagnostic 
 					loop = stack[i]
 				}
 			}
-			gos = append(gos, goSpawn{stmt: gs, loop: loop})
+			gos = append(gos, goSpawn{stmt: x, loop: loop})
+		case *ast.CallExpr:
+			if !isParFor(pkg, x) || len(x.Args) != 3 {
+				break
+			}
+			if body, ok := ast.Unparen(x.Args[2]).(*ast.FuncLit); ok {
+				gos = append(gos, goSpawn{stmt: body, loop: x, parFor: true})
+			}
 		}
 		stack = append(stack, n)
 		return true
@@ -267,6 +281,10 @@ func rngShareInFunc(prog *Program, pkg *Package, fd *ast.FuncDecl) []Diagnostic 
 	for _, k := range order {
 		refs := captures[k]
 		switch {
+		// One cursor shared by every worker of a par.For.
+		case refs[0].parFor && k.root.Pos() < refs[0].loop.Pos():
+			report(refs[0].stmt.Pos(),
+				"par.For body captures RNG stream %s declared outside the call: every worker shares one draw cursor; derive a child stream per index (rngutil.Seeder)", k.name())
 		// One cursor spawned N times from a loop.
 		case refs[0].loop != nil && k.root.Pos() < refs[0].loop.Pos():
 			report(refs[0].stmt.Pos(),

@@ -32,10 +32,11 @@ func checkStaleSuppress(prog *Program, pkg *Package, dirs *directives, cfg *Conf
 		}
 	}
 
-	// Ordered annotations on functions that spawn nothing.
+	// Ordered annotations on functions that spawn nothing (neither a go
+	// statement nor a par.For call).
 	if cfg.ran("goroutine", pkg) {
 		for _, o := range dirs.orderedList {
-			if o.fn.Body == nil || spawnsGoroutine(o.fn.Body) {
+			if o.fn.Body == nil || spawnsGoroutine(pkg, o.fn.Body) {
 				continue
 			}
 			diags = append(diags, diag(prog, o.pos, "stalesuppress",
@@ -64,13 +65,12 @@ func checkStaleSuppress(prog *Program, pkg *Package, dirs *directives, cfg *Conf
 	return diags
 }
 
-// spawnsGoroutine reports whether body contains a go statement.
-func spawnsGoroutine(body *ast.BlockStmt) bool {
+// spawnsGoroutine reports whether body contains a go statement or a call
+// to par.For.
+func spawnsGoroutine(pkg *Package, body *ast.BlockStmt) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.GoStmt); ok {
-			found = true
-		}
+		found = found || spawns(pkg, n)
 		return !found
 	})
 	return found

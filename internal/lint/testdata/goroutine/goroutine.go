@@ -3,6 +3,10 @@
 // helper is blessed with //simlint:ordered.
 package goroutine
 
+import (
+	fanout "e2clab/internal/par"
+)
+
 // Fan spawns workers without any determinism attestation.
 func Fan(n int, fn func(int)) {
 	for i := 0; i < n; i++ {
@@ -28,6 +32,25 @@ func Ordered(n int, fn func(int) int) []int {
 		<-done
 	}
 	return out
+}
+
+// ParFor fans out through par.For, under a renamed import, without the
+// attestation a go statement would need.
+func ParFor(out []int, fn func(int) int) {
+	fanout.For(len(out), 0, func(_, i int) { out[i] = fn(i) }) // want "goroutine: par.For called outside a //simlint:ordered helper"
+}
+
+// For is a local function that shares par.For's name but spawns nothing.
+func For(n int, body func(i int)) {
+	for i := 0; i < n; i++ {
+		body(i)
+	}
+}
+
+// LocalFor calls the local For: no finding, since the callee is resolved
+// by type, not by name.
+func LocalFor(out []int) {
+	For(len(out), func(i int) { out[i] = i })
 }
 
 // Suppressed shows the line-level escape hatch for a one-off spawn.

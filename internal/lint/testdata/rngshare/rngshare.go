@@ -6,6 +6,7 @@ package rngshare
 import (
 	"math/rand"
 
+	"e2clab/internal/par"
 	"e2clab/internal/rngutil"
 )
 
@@ -31,6 +32,31 @@ func LoopSpawn(seed int64, out []float64) {
 		i := i
 		go func() { out[i] = rng.Float64() }() // want "rngshare: goroutine spawned in a loop captures RNG stream rng declared outside the loop"
 	}
+}
+
+// ParForShared captures one stream in a par.For body: every worker draws
+// on the same cursor.
+//
+//simlint:ordered fixture: index-ordered writes into out
+func ParForShared(seed int64, out []float64) {
+	rng := rand.New(rand.NewSource(seed))
+	par.For(len(out), 0, func(_, i int) { out[i] = rng.Float64() }) // want "rngshare: par.For body captures RNG stream rng declared outside the call"
+}
+
+// ParForDerived derives each index's stream up front: the sanctioned
+// pattern, no finding.
+//
+//simlint:ordered fixture: index-ordered writes into out
+func ParForDerived(seed int64, out []float64) {
+	s := rngutil.NewSeeder(seed)
+	seeds := make([]int64, len(out))
+	for i := range seeds {
+		seeds[i] = s.Next()
+	}
+	par.For(len(out), 0, func(_, i int) {
+		rng := rand.New(rand.NewSource(seeds[i]))
+		out[i] = rng.Float64()
+	})
 }
 
 // SpawnerDraws hands the stream to a goroutine and keeps drawing on it.

@@ -3,7 +3,11 @@
 // so the suppression inventory can only shrink honestly.
 package stalesuppress
 
-import "time"
+import (
+	"time"
+
+	"e2clab/internal/par"
+)
 
 // LiveAllow suppresses a real wallclock finding: the negative case.
 func LiveAllow() int64 {
@@ -30,6 +34,14 @@ func NotRun(ch chan int) {
 func Spawning(done chan int) int {
 	go func() { done <- 1 }()
 	return <-done
+}
+
+// FansOut spawns through par.For, which counts as a go statement: its
+// ordered attestation is live.
+//
+//simlint:ordered fixture: each index writes only its own out slot
+func FansOut(out []float64) {
+	par.For(len(out), 0, func(_, i int) { out[i] = float64(i) })
 }
 
 // Calm spawns nothing; its ordered attestation proves nothing.

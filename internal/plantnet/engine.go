@@ -223,6 +223,12 @@ type Outcomes struct {
 	CrashFailures   int64
 	DroppedArrivals int64
 
+	// FailedRequests counts terminal logical failures over the whole run
+	// — attempts exhausted under a policy, or (in unpolicied faulted
+	// runs) gateway failures, crash losses and dropped open-loop
+	// arrivals.
+	FailedRequests int64
+
 	// Resilience-policy outcomes (all zero when RunOptions.Resilience is
 	// nil). Retries counts re-dispatched attempts; RetrySuccesses, logical
 	// requests that completed after at least one retry. Hedges counts
@@ -240,12 +246,6 @@ type Outcomes struct {
 	Shed             int64
 	BreakerOpens     int64
 	DeadlineExceeded int64
-
-	// FailedRequests counts terminal logical failures over the whole run
-	// — attempts exhausted under a policy, or (in unpolicied faulted
-	// runs) gateway failures, crash losses and dropped open-loop
-	// arrivals.
-	FailedRequests int64
 }
 
 // Add adds x's counts to o.
@@ -254,6 +254,7 @@ func (o *Outcomes) Add(x Outcomes) {
 	o.CrashRequeues += x.CrashRequeues
 	o.CrashFailures += x.CrashFailures
 	o.DroppedArrivals += x.DroppedArrivals
+	o.FailedRequests += x.FailedRequests
 	o.Retries += x.Retries
 	o.RetrySuccesses += x.RetrySuccesses
 	o.Hedges += x.Hedges
@@ -262,7 +263,6 @@ func (o *Outcomes) Add(x Outcomes) {
 	o.Shed += x.Shed
 	o.BreakerOpens += x.BreakerOpens
 	o.DeadlineExceeded += x.DeadlineExceeded
-	o.FailedRequests += x.FailedRequests
 }
 
 // RequestTrace is the task breakdown of one traced request.

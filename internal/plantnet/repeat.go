@@ -1,10 +1,7 @@
 package plantnet
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-
+	"e2clab/internal/par"
 	"e2clab/internal/rngutil"
 	"e2clab/internal/stats"
 )
@@ -41,9 +38,9 @@ func RunRepeated(opts RunOptions, repeats int) (*Repeated, error) {
 }
 
 // RunRepeated is the Runner-bound form of the package-level RunRepeated:
-// the sequential path reuses the receiver's pooled state, so callers that
-// execute many RunRepeated batches (e.g. the phases of one scenario) pay
-// engine setup once. Parallel workers pool privately (a Runner is
+// worker 0 reuses the receiver's pooled state, so callers that execute
+// many RunRepeated batches (e.g. the phases of one scenario) pay engine
+// setup once; the other workers pool privately (a Runner is
 // single-threaded).
 //
 //simlint:ordered seeds are derived up front and each worker writes runs[i]/errs[i] for the indices it claims; aggregation below walks index order (determinism pinned by repeat tests)
@@ -58,40 +55,16 @@ func (r *Runner) RunRepeated(opts RunOptions, repeats int) (*Repeated, error) {
 	}
 	runs := make([]*Metrics, repeats)
 	errs := make([]error, repeats)
-	workers := opts.MaxParallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > repeats {
-		workers = repeats
-	}
-	if workers <= 1 {
-		for i := 0; i < repeats; i++ {
-			o := opts
-			o.Seed = seeds[i]
-			runs[i], errs[i] = r.Run(o)
+	runners := make([]*Runner, par.Workers(repeats, opts.MaxParallel))
+	runners[0] = r
+	par.For(repeats, len(runners), func(w, i int) {
+		if runners[w] == nil {
+			runners[w] = NewRunner()
 		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				rn := NewRunner()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= repeats {
-						return
-					}
-					o := opts
-					o.Seed = seeds[i]
-					runs[i], errs[i] = rn.Run(o)
-				}
-			}()
-		}
-		wg.Wait()
-	}
+		o := opts
+		o.Seed = seeds[i]
+		runs[i], errs[i] = runners[w].Run(o)
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

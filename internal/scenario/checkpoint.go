@@ -15,8 +15,9 @@ type resultField struct {
 	kind  reflect.Kind
 }
 
-// resultLayout is the checkpoint wire format: every int and float64 field of
-// Result in declaration order, nested structs flattened. It is derived, not
+// resultLayout is the checkpoint wire format: every int, int64 and float64
+// field of Result in declaration order, nested and embedded structs
+// flattened. It is derived, not
 // declared, so a new numeric field is carried without further edits; the
 // paths are hashed into the fingerprint, so adding, removing or reordering a
 // field makes older checkpoint trials re-run instead of mis-decoding.
@@ -31,7 +32,7 @@ func walkResult(t reflect.Type, index []int, prefix string) []resultField {
 		idx := append(append([]int(nil), index...), i)
 		path := prefix + f.Name
 		switch k := f.Type.Kind(); k {
-		case reflect.Int, reflect.Float64:
+		case reflect.Int, reflect.Int64, reflect.Float64:
 			out = append(out, resultField{path, idx, k})
 		case reflect.String:
 			// Restored from the spec on resume.

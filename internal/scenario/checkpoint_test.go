@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"testing"
 
+	"e2clab/internal/rngutil"
+	"e2clab/internal/stats"
 	"e2clab/internal/tune"
 )
 
@@ -36,7 +38,7 @@ func distinctResult(t *testing.T) *Result {
 	paths, fields := resultLeaves(r)
 	for i, f := range fields {
 		switch f.Kind() {
-		case reflect.Int:
+		case reflect.Int, reflect.Int64:
 			f.SetInt(int64(i + 1))
 		case reflect.Float64:
 			f.SetFloat(float64(i+1) + 1/3.0)
@@ -79,7 +81,7 @@ func TestEveryResultFieldIsRendered(t *testing.T) {
 		r := distinctResult(t)
 		_, fields := resultLeaves(r)
 		switch f := fields[i]; f.Kind() {
-		case reflect.Int:
+		case reflect.Int, reflect.Int64:
 			f.SetInt(f.Int() + 1)
 		case reflect.Float64:
 			f.SetFloat(f.Float() + 1)
@@ -96,17 +98,79 @@ func TestEveryResultFieldIsRendered(t *testing.T) {
 // layout's shape, as if written before a field was added, re-runs; every
 // other trial resumes.
 func TestStaleCheckpointShapeReruns(t *testing.T) {
+	checkOnlyStaleReruns(t, func(_ Suite, tr *tune.Trial) {
+		tr.Reports = tr.Reports[:len(tr.Reports)-1]
+	})
+}
+
+// preOutcomesResult is Result as it was before it embedded
+// plantnet.Outcomes: the same leaves in the same order, with the counters
+// as ints under their own names.
+type preOutcomesResult struct {
+	Index                     int
+	Name                      string
+	Gateways, Clients, Phases int
+	NetModel                  string
+	EngineResp                stats.Summary
+	NetOverheadSec, RespMean  float64
+	RespP95, Throughput       float64
+	Completed                 int
+
+	FaultGatewayFailures, FaultCrashRequeues, FaultCrashFailures, FaultDropped int
+
+	Failed, Retries, RetrySuccesses, Hedges, HedgeWins int
+	Rerouted, Shed, BreakerOpens, DeadlineExceeded     int
+
+	Goodput, Availability float64
+}
+
+// TestOldFieldPathCheckpointReruns: a trial fingerprinted under the field
+// paths of an older Result re-runs, even though its reports have the
+// current layout's shape; every other trial resumes.
+func TestOldFieldPathCheckpointReruns(t *testing.T) {
+	old := walkResult(reflect.TypeOf(preOutcomesResult{}), nil, "")
+	if len(old) != len(resultLayout) {
+		t.Fatalf("old layout has %d leaves, current %d: the shape check alone would catch it", len(old), len(resultLayout))
+	}
+	checkOnlyStaleReruns(t, func(s Suite, tr *tune.Trial) {
+		scenarios, err := s.resolved()
+		if err != nil {
+			t.Fatal(err)
+		}
+		seeder := rngutil.NewSeeder(s.Seed + 17)
+		var seed int64
+		for range tr.ID + 1 {
+			seed = seeder.Next()
+		}
+		cur := resultLayout
+		resultLayout = old
+		hi, lo, err := fingerprint(scenarios[tr.ID], seed)
+		resultLayout = cur
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hi == tr.Config[1] && lo == tr.Config[2] {
+			t.Fatal("the old field paths give the current fingerprint")
+		}
+		tr.Config[1], tr.Config[2] = hi, lo
+	})
+}
+
+// checkOnlyStaleReruns runs testSuite with a checkpoint, applies stale to
+// one checkpointed trial, and checks that a resumed run re-runs exactly that
+// scenario and reproduces every Result.
+func checkOnlyStaleReruns(t *testing.T, stale func(Suite, *tune.Trial)) {
+	t.Helper()
 	s := testSuite()
 	ckpt := filepath.Join(t.TempDir(), "suite.json")
 	ref := mustRun(t, s, Options{Parallel: 1, CheckpointPath: ckpt})
 
-	const stale = 2
+	const idx = 2
 	a, err := tune.Load(ckpt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := a.Trials[stale]
-	tr.Reports = tr.Reports[:len(tr.Reports)-1]
+	stale(s, a.Trials[idx])
 	if err := a.Save(ckpt); err != nil {
 		t.Fatal(err)
 	}
@@ -118,8 +182,8 @@ func TestStaleCheckpointShapeReruns(t *testing.T) {
 				started = append(started, i)
 			}
 		}})
-	if len(started) != 1 || started[0] != stale {
-		t.Errorf("re-ran scenarios %v, want only [%d]", started, stale)
+	if len(started) != 1 || started[0] != idx {
+		t.Errorf("re-ran scenarios %v, want only [%d]", started, idx)
 	}
 	if sr.Resumed != len(s.Scenarios)-1 {
 		t.Errorf("resumed %d scenarios, want %d", sr.Resumed, len(s.Scenarios)-1)

@@ -58,11 +58,11 @@ func TestFaultedScenarioGoldenPin(t *testing.T) {
 	if math.Float64bits(r.Throughput) != math.Float64bits(goldenFaultThroughput) {
 		t.Errorf("Throughput = %.17g, want %.17g (bit-exact)", r.Throughput, goldenFaultThroughput)
 	}
-	if r.FaultGatewayFailures != goldenFaultGwFails {
-		t.Errorf("FaultGatewayFailures = %d, want %d", r.FaultGatewayFailures, goldenFaultGwFails)
+	if r.GatewayFailures != goldenFaultGwFails {
+		t.Errorf("GatewayFailures = %d, want %d", r.GatewayFailures, goldenFaultGwFails)
 	}
-	if r.FaultCrashRequeues != goldenFaultRequeues {
-		t.Errorf("FaultCrashRequeues = %d, want %d", r.FaultCrashRequeues, goldenFaultRequeues)
+	if r.CrashRequeues != goldenFaultRequeues {
+		t.Errorf("CrashRequeues = %d, want %d", r.CrashRequeues, goldenFaultRequeues)
 	}
 }
 
@@ -95,13 +95,13 @@ func TestFaultSweepSuiteParallelDeterminism(t *testing.T) {
 		}
 	}
 	// The schedule must actually bite in the faulted rows.
-	if seq.Results[1].FaultGatewayFailures == 0 {
+	if seq.Results[1].GatewayFailures == 0 {
 		t.Error("churn profile produced no gateway failures")
 	}
-	if seq.Results[2].FaultCrashRequeues == 0 {
+	if seq.Results[2].CrashRequeues == 0 {
 		t.Error("crash profile produced no requeues")
 	}
-	if seq.Results[0].FaultGatewayFailures != 0 || seq.Results[0].FaultDropped != 0 {
+	if seq.Results[0].GatewayFailures != 0 || seq.Results[0].DroppedArrivals != 0 {
 		t.Error("fault-free profile reported fault outcomes")
 	}
 }

@@ -123,9 +123,9 @@ func TestAvailabilitySLOImprovement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.Failed == 0 || plain.Availability >= 1 {
+	if plain.FailedRequests == 0 || plain.Availability >= 1 {
 		t.Fatalf("chaos baseline lost nothing (failed=%d, availability=%v) — the comparison is vacuous",
-			plain.Failed, plain.Availability)
+			plain.FailedRequests, plain.Availability)
 	}
 	pol, err := resilientScenario().Run(55)
 	if err != nil {
@@ -137,7 +137,7 @@ func TestAvailabilitySLOImprovement(t *testing.T) {
 	}
 	// Bounded amplification: at most Retry.Max extra attempts per logical
 	// request that needed any.
-	if max := 3 * (pol.Failed + pol.RetrySuccesses); pol.Retries > max {
+	if max := 3 * (pol.FailedRequests + pol.RetrySuccesses); pol.Retries > max {
 		t.Errorf("retry amplification: %d retries > bound %d", pol.Retries, max)
 	}
 }
@@ -168,7 +168,7 @@ func TestPhasedFaultTimelineIsContinuous(t *testing.T) {
 	if r.Phases != 6 {
 		t.Fatalf("Phases = %d, want 6", r.Phases)
 	}
-	if r.FaultCrashRequeues == 0 {
+	if r.CrashRequeues == 0 {
 		t.Error("crash at t=120 of a 6x50 s phased run never fired — the timeline is not continuous")
 	}
 	// Repeatable: the windowed lowering draws its compile seed from the

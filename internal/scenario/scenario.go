@@ -476,8 +476,9 @@ func (s Scenario) NetworkOverheadSeconds() float64 {
 // Result is one executed scenario's aggregate, the row unit of the
 // cross-scenario comparison tables. Every field is finite (unreachable or
 // sample-free scenarios fail with an error instead), so Results round-trip
-// bit-exactly through the JSON checkpoint. Fields may only be ints, float64s,
-// strings derived from the spec, or structs of those (see resultLayout).
+// bit-exactly through the JSON checkpoint. Fields may only be ints, int64s,
+// float64s, strings derived from the spec, or structs of those (see
+// resultLayout).
 type Result struct {
 	Index    int    `json:"index"`
 	Name     string `json:"name"`
@@ -508,26 +509,11 @@ type Result struct {
 	Throughput float64 `json:"throughput"`
 	Completed  int     `json:"completed"`
 
-	// Fault outcome counters, aggregated across phases and repeats; all
-	// zero when the scenario injects no faults. See plantnet.Metrics for
+	// Outcomes sums the request-outcome counters (fault and resilience
+	// policy) across phases and repeats; all zero when the scenario
+	// injects no faults and applies no policy. See plantnet.Outcomes for
 	// the taxonomy.
-	FaultGatewayFailures int `json:"fault_gateway_failures,omitempty"`
-	FaultCrashRequeues   int `json:"fault_crash_requeues,omitempty"`
-	FaultCrashFailures   int `json:"fault_crash_failures,omitempty"`
-	FaultDropped         int `json:"fault_dropped,omitempty"`
-
-	// Resilience outcome counters, aggregated across phases and repeats;
-	// all zero when the scenario applies no policy (Failed also counts
-	// unpolicied fault losses). See plantnet.Metrics for the taxonomy.
-	Failed           int `json:"failed,omitempty"`
-	Retries          int `json:"retries,omitempty"`
-	RetrySuccesses   int `json:"retry_successes,omitempty"`
-	Hedges           int `json:"hedges,omitempty"`
-	HedgeWins        int `json:"hedge_wins,omitempty"`
-	Rerouted         int `json:"rerouted,omitempty"`
-	Shed             int `json:"shed,omitempty"`
-	BreakerOpens     int `json:"breaker_opens,omitempty"`
-	DeadlineExceeded int `json:"deadline_exceeded,omitempty"`
+	plantnet.Outcomes
 	// Goodput is the duration-weighted post-warmup completions/s whose
 	// response met the policy timeout (== Throughput with no policy);
 	// Availability is completed / (completed + failed), 1 when nothing
@@ -680,32 +666,20 @@ func (s Scenario) Run(seed int64) (*Result, error) {
 		availability = float64(completed) / float64(completed+failed)
 	}
 	return &Result{
-		Name:                 d.Name,
-		Gateways:             d.TotalGateways(),
-		Clients:              d.Clients(),
-		Phases:               phaseCount,
-		NetModel:             d.networkModelName(),
-		EngineResp:           engine,
-		NetOverheadSec:       overhead,
-		RespMean:             respMean,
-		RespP95:              p95Sec / (elapsed * float64(d.Repeats)),
-		Throughput:           thrSec / elapsed,
-		Completed:            completed,
-		FaultGatewayFailures: int(out.GatewayFailures),
-		FaultCrashRequeues:   int(out.CrashRequeues),
-		FaultCrashFailures:   int(out.CrashFailures),
-		FaultDropped:         int(out.DroppedArrivals),
-		Failed:               int(out.FailedRequests),
-		Retries:              int(out.Retries),
-		RetrySuccesses:       int(out.RetrySuccesses),
-		Hedges:               int(out.Hedges),
-		HedgeWins:            int(out.HedgeWins),
-		Rerouted:             int(out.Rerouted),
-		Shed:                 int(out.Shed),
-		BreakerOpens:         int(out.BreakerOpens),
-		DeadlineExceeded:     int(out.DeadlineExceeded),
-		Goodput:              goodSec / (elapsed * float64(d.Repeats)),
-		Availability:         availability,
+		Name:           d.Name,
+		Gateways:       d.TotalGateways(),
+		Clients:        d.Clients(),
+		Phases:         phaseCount,
+		NetModel:       d.networkModelName(),
+		EngineResp:     engine,
+		NetOverheadSec: overhead,
+		RespMean:       respMean,
+		RespP95:        p95Sec / (elapsed * float64(d.Repeats)),
+		Throughput:     thrSec / elapsed,
+		Completed:      completed,
+		Outcomes:       out,
+		Goodput:        goodSec / (elapsed * float64(d.Repeats)),
+		Availability:   availability,
 	}, nil
 }
 

@@ -7,10 +7,9 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
+	"e2clab/internal/par"
 	"e2clab/internal/provenance"
 	"e2clab/internal/rngutil"
 	"e2clab/internal/space"
@@ -110,10 +109,11 @@ type Options struct {
 	// Logger, when set, receives one event per scenario state change
 	// ("resumed", "started", "completed", "failed").
 	Logger func(event string, index int, name string)
-	// InterruptAfter, when positive, stops claiming new scenarios after
-	// this many have been executed in this invocation and makes RunSuite
-	// return ErrInterrupted — a crash simulation hook for resume tests and
-	// demos. In-flight scenarios still complete and checkpoint.
+	// InterruptAfter, when positive, runs at most this many of the
+	// scenarios not resumed from the checkpoint (the first ones in index
+	// order); when that leaves any unreached, RunSuite returns
+	// ErrInterrupted — a crash simulation hook for resume tests and demos.
+	// Every scenario it does run completes and checkpoints.
 	InterruptAfter int
 }
 
@@ -170,7 +170,7 @@ func fingerprint(sc Scenario, seed int64) (hi, lo float64, err error) {
 // provenance archiving. See Options for the determinism and resume
 // contracts.
 //
-//simlint:ordered per-scenario seeds are derived before the pool starts and workers write results[i]/errs[i] by claimed index; aggregation walks index order (suite_test pins parallel == sequential)
+//simlint:ordered per-scenario seeds are derived before the pool starts and workers write results[i]/errs[i] for the pending index they claim; aggregation walks index order (suite_test pins parallel == sequential)
 func RunSuite(s Suite, opts Options) (*SuiteResult, error) {
 	scenarios, err := s.resolved()
 	if err != nil {
@@ -247,7 +247,7 @@ func RunSuite(s Suite, opts Options) (*SuiteResult, error) {
 		}
 	}
 
-	var mu sync.Mutex // guards trials, results, errs, checkpoint writes
+	var mu sync.Mutex // guards trials, results, errs, saveErr, checkpoint writes
 	saveCheckpoint := func() error {
 		if opts.CheckpointPath == "" {
 			return nil
@@ -257,19 +257,22 @@ func RunSuite(s Suite, opts Options) (*SuiteResult, error) {
 		return a.Save(opts.CheckpointPath)
 	}
 
-	workers := opts.Parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	// The scenarios to run in this invocation: those not resumed, in index
+	// order, cut to InterruptAfter.
+	var pending []int
+	for i, r := range results {
+		if r == nil {
+			pending = append(pending, i)
+		}
 	}
-	if workers > n {
-		workers = n
+	interrupted := opts.InterruptAfter > 0 && len(pending) > opts.InterruptAfter
+	if interrupted {
+		pending = pending[:opts.InterruptAfter]
 	}
 
-	var next, started atomic.Int64
-	var executed atomic.Int64
-	var saveErr atomic.Value // first checkpoint-write failure
-	interrupted := false
-	runOne := func(i int) {
+	var saveErr error // first checkpoint-write failure
+	par.For(len(pending), opts.Parallel, func(_, k int) {
+		i := pending[k]
 		sc := scenarios[i]
 		mu.Lock()
 		trials[i].Status = tune.Running
@@ -297,58 +300,12 @@ func RunSuite(s Suite, opts Options) (*SuiteResult, error) {
 				opts.Logger("completed", i, sc.Name)
 			}
 		}
-		executed.Add(1)
-		if err := saveCheckpoint(); err != nil {
-			saveErr.CompareAndSwap(nil, err)
+		if err := saveCheckpoint(); err != nil && saveErr == nil {
+			saveErr = err
 		}
-	}
-
-	claim := func() int {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return -1
-			}
-			if results[i] != nil {
-				continue // resumed from checkpoint; never re-run
-			}
-			// Atomic add-then-compare: at most InterruptAfter claims
-			// succeed even with a parallel pool (a worker that lands past
-			// the limit abandons its index — it counts as never reached).
-			if opts.InterruptAfter > 0 && started.Add(1) > int64(opts.InterruptAfter) {
-				return -1
-			}
-			return i
-		}
-	}
-
-	if workers <= 1 {
-		for i := claim(); i >= 0; i = claim() {
-			runOne(i)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := claim(); i >= 0; i = claim() {
-					runOne(i)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	if err, _ := saveErr.Load().(error); err != nil {
-		return nil, fmt.Errorf("scenario: saving checkpoint: %w", err)
-	}
-	if opts.InterruptAfter > 0 {
-		for i := range results {
-			if results[i] == nil && errs[i] == nil {
-				interrupted = true // some scenario was never reached
-				break
-			}
-		}
+	})
+	if saveErr != nil {
+		return nil, fmt.Errorf("scenario: saving checkpoint: %w", saveErr)
 	}
 
 	// Ordered aggregation: everything below walks scenarios in index
@@ -357,7 +314,7 @@ func RunSuite(s Suite, opts Options) (*SuiteResult, error) {
 		Suite:    s.Name,
 		Results:  results,
 		Errs:     errs,
-		Executed: int(executed.Load()),
+		Executed: len(pending),
 		Resumed:  resumed,
 	}
 	if interrupted {

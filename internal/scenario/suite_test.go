@@ -145,8 +145,9 @@ func TestSuiteInterruptResumeSkipsCompleted(t *testing.T) {
 }
 
 func TestSuiteInterruptBoundHoldsUnderParallelPool(t *testing.T) {
-	// The InterruptAfter claim bound is atomic: even with several workers
-	// racing, no more than InterruptAfter scenarios execute.
+	// The InterruptAfter bound cuts the pending list before the pool
+	// starts: even with several workers, no more than InterruptAfter
+	// scenarios execute.
 	s := testSuite()
 	ckpt := filepath.Join(t.TempDir(), "suite.json")
 	partial, err := RunSuite(s, Options{Parallel: 3, CheckpointPath: ckpt, InterruptAfter: 2})

@@ -46,16 +46,16 @@ func DetailTable(r *Result) *export.Table {
 	t.AddRow("throughput (req/s)", r.Throughput)
 	t.AddRow("completed requests", r.Completed)
 	t.AddRow("samples", r.EngineResp.N)
-	if r.FaultGatewayFailures+r.FaultCrashRequeues+r.FaultCrashFailures+r.FaultDropped > 0 {
-		t.AddRow("fault: gateway failures", r.FaultGatewayFailures)
-		t.AddRow("fault: crash requeues", r.FaultCrashRequeues)
-		t.AddRow("fault: crash failures", r.FaultCrashFailures)
-		t.AddRow("fault: dropped arrivals", r.FaultDropped)
+	if r.GatewayFailures+r.CrashRequeues+r.CrashFailures+r.DroppedArrivals > 0 {
+		t.AddRow("fault: gateway failures", r.GatewayFailures)
+		t.AddRow("fault: crash requeues", r.CrashRequeues)
+		t.AddRow("fault: crash failures", r.CrashFailures)
+		t.AddRow("fault: dropped arrivals", r.DroppedArrivals)
 	}
-	if r.Failed+r.Retries+r.Hedges+r.Rerouted+r.Shed+r.BreakerOpens+r.DeadlineExceeded > 0 {
+	if r.FailedRequests+r.Retries+r.Hedges+r.Rerouted+r.Shed+r.BreakerOpens+r.DeadlineExceeded > 0 {
 		t.AddRow("availability", fmt.Sprintf("%.4f", r.Availability))
 		t.AddRow("goodput (req/s)", r.Goodput)
-		t.AddRow("failed requests", r.Failed)
+		t.AddRow("failed requests", r.FailedRequests)
 		t.AddRow("resilience: retries", fmt.Sprintf("%d (%d won)", r.Retries, r.RetrySuccesses))
 		t.AddRow("resilience: hedges", fmt.Sprintf("%d (%d won)", r.Hedges, r.HedgeWins))
 		t.AddRow("resilience: rerouted", r.Rerouted)

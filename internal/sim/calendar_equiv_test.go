@@ -85,8 +85,7 @@ func (e *refEngine) Run(until float64) {
 			continue
 		}
 		if next.time > until {
-			e.now = until
-			return
+			break
 		}
 		heap.Pop(&e.events)
 		e.now = next.time
@@ -270,7 +269,7 @@ func runCalendarEquiv(t *testing.T, script string, r opScript, nOps int) {
 			}
 			check("step")
 		default:
-			until := eNew.Now() + r.Float64()*3
+			until := eNew.Now() + r.Float64()*4 - 1 // a quarter lie in the past
 			eNew.Run(until)
 			eOld.Run(until)
 			check("run")

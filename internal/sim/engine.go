@@ -216,9 +216,9 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Run fires events until the calendar is empty or the clock would pass
-// until. The clock is left at min(until, last event time); events scheduled
-// beyond until remain queued.
+// Run fires every event at or before until, then moves the clock up to
+// until; events scheduled beyond until remain queued. The clock never moves
+// backwards: a Run to a past target fires nothing and leaves Now unchanged.
 //
 //simlint:noalloc steady-state calendar path
 func (e *Engine) Run(until float64) {
@@ -227,17 +227,12 @@ func (e *Engine) Run(until float64) {
 			if e.ringN == 0 && (len(e.over) == 0 || e.over[0].time > until) {
 				// Nothing within the horizon; don't rebase the calendar for
 				// events we are not going to fire.
-				if len(e.over) > 0 {
-					e.now = until
-					return
-				}
 				break
 			}
 			e.advance()
 		}
 		if e.front[0].time > until {
-			e.now = until
-			return
+			break
 		}
 		ent := e.heapPopMin(&e.front, locFront)
 		fn := e.nodes[ent.idx].fn

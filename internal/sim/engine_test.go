@@ -53,6 +53,31 @@ func TestRunStopsAtUntil(t *testing.T) {
 	}
 }
 
+// TestRunNeverMovesClockBack: a Run to a target before Now fires nothing
+// and leaves the clock where it was, whether an event is still queued
+// beyond it (in the front heap or in overflow) or the calendar is empty.
+func TestRunNeverMovesClockBack(t *testing.T) {
+	for _, far := range []float64{10, 1000} {
+		e := NewEngine()
+		var fired []float64
+		e.Schedule(5, func() { fired = append(fired, e.Now()) })
+		e.Schedule(far, func() { fired = append(fired, e.Now()) })
+		e.Run(6)
+		e.Run(2)
+		if e.Now() != 6 {
+			t.Errorf("far=%v: clock = %v after Run(6), Run(2); want 6", far, e.Now())
+		}
+		if len(fired) != 1 || e.Pending() != 1 {
+			t.Errorf("far=%v: fired at %v, %d pending; want [5] and 1", far, fired, e.Pending())
+		}
+		e.Run(far + 1)
+		e.Run(3)
+		if e.Now() != far+1 || len(fired) != 2 || fired[1] != far {
+			t.Errorf("far=%v: clock %v, fired at %v; want clock %v, fired at [5 %v]", far, e.Now(), fired, far+1, far)
+		}
+	}
+}
+
 func TestCancel(t *testing.T) {
 	e := NewEngine()
 	fired := false

@@ -1,9 +1,6 @@
 package surrogate
 
-import (
-	"runtime"
-	"sync"
-)
+import "e2clab/internal/par"
 
 // numWorkers, when nonzero, sizes the worker pool shared by parallel fits
 // and batch predictions; tests set it (via setWorkers) to force the
@@ -24,14 +21,14 @@ func setWorkers(n int) (restore func()) {
 	return func() { numWorkers = old }
 }
 
-// parallelFor splits [0, n) into contiguous shards and runs fn(lo, hi) on
-// up to numWorkers goroutines, blocking until all shards finish. fn must be
-// safe to run concurrently on disjoint index ranges and must not depend on
-// shard boundaries for its results (every user in this package computes
-// element i of an output slice purely from element i of the inputs, so
-// sharding cannot change results). Ranges smaller than minPerWorker per
-// worker run inline on the caller's goroutine to keep tiny batches free of
-// scheduling overhead.
+// parallelFor splits [0, n) into contiguous shards and runs fn(lo, hi)
+// through par.For, one worker per shard and at most numWorkers shards,
+// blocking until all shards finish. fn must be safe to run concurrently on
+// disjoint index ranges and must not depend on shard boundaries for its
+// results (every user in this package computes element i of an output
+// slice purely from element i of the inputs, so sharding cannot change
+// results). Ranges smaller than minPerWorker per worker run inline on the
+// caller's goroutine to keep tiny batches free of scheduling overhead.
 //
 //simlint:ordered each shard writes only its own [lo,hi) slots of the output; no draw order, accumulation order, or shared state depends on scheduling (parallel_test.go pins parallel == sequential)
 func parallelFor(n, minPerWorker int, fn func(lo, hi int)) {
@@ -41,29 +38,15 @@ func parallelFor(n, minPerWorker int, fn func(lo, hi int)) {
 	if minPerWorker < 1 {
 		minPerWorker = 1
 	}
-	workers := numWorkers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if maxW := n / minPerWorker; workers > maxW {
-		workers = maxW
-	}
-	if workers <= 1 {
+	workers := par.Workers(n/minPerWorker, numWorkers)
+	if workers == 1 {
 		fn(0, n)
 		return
 	}
 	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+	chunks := (n + chunk - 1) / chunk
+	par.For(chunks, chunks, func(_, c int) {
+		lo := c * chunk
+		fn(lo, min(lo+chunk, n))
+	})
 }

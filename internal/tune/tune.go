@@ -4,14 +4,17 @@
 // concurrency limiting, and early-stopping schedulers (Listing 1 uses
 // ConcurrencyLimiter(max_concurrent=2) and AsyncHyperBandScheduler).
 //
-// Trials run on goroutines; the search algorithm is consulted under a lock,
-// so any ask/tell optimizer (package bo, random search) can drive the loop.
+// Trials run on up to MaxConcurrent workers of par.For (inline on the
+// caller's goroutine when MaxConcurrent is 1); the search algorithm is
+// consulted under a lock, so any ask/tell optimizer (package bo, random
+// search) can drive the loop.
 package tune
 
 import (
 	"fmt"
 	"sync"
 
+	"e2clab/internal/par"
 	"e2clab/internal/space"
 )
 
@@ -152,7 +155,7 @@ type RunConfig struct {
 // cycle (parallel deployment, simultaneous execution, asynchronous model
 // optimization, reconfiguration).
 //
-//simlint:ordered trial configs are Asked under the mutex in submission order; completion-order effects on Tell are part of the documented Concurrency semantics, and Concurrency=1 gives the sequential reference
+//simlint:ordered trial configs are Asked under the mutex and take their IDs in Ask order; completion-order effects on Tell are part of the documented Concurrency semantics, and Concurrency=1 gives the sequential reference
 func Run(cfg RunConfig, search SearchAlgorithm, objective Objective) (*Analysis, error) {
 	if cfg.NumSamples <= 0 {
 		return nil, fmt.Errorf("tune: NumSamples must be positive, got %d", cfg.NumSamples)
@@ -178,42 +181,34 @@ func Run(cfg RunConfig, search SearchAlgorithm, objective Objective) (*Analysis,
 
 	var mu sync.Mutex // guards search, trials, schedulers
 	trials := make([]*Trial, 0, cfg.NumSamples)
-	sem := make(chan struct{}, conc)
-	var wg sync.WaitGroup
-
-	for i := 0; i < cfg.NumSamples; i++ {
-		sem <- struct{}{} // acquire before asking: limiter semantics
+	// Each of the conc workers asks for its next configuration only after
+	// its previous trial was told: the limiter semantics.
+	par.For(cfg.NumSamples, conc, func(_, _ int) {
 		mu.Lock()
 		x := search.Ask()
-		trial := &Trial{ID: i, Config: append([]float64(nil), x...), Status: Running}
+		trial := &Trial{ID: len(trials), Config: append([]float64(nil), x...), Status: Running}
 		trials = append(trials, trial)
 		mu.Unlock()
 
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			ctx := &Context{trial: trial, sched: sched, sign: sign, mu: &mu}
-			v, err := objective(ctx, trial.Config)
-			mu.Lock()
-			defer mu.Unlock()
-			switch {
-			case err != nil:
-				trial.Status = Failed
-				trial.Err = err
-			case ctx.stopped:
-				trial.Status = Stopped
-				trial.Value = v
-				search.Tell(trial.Config, sign*v)
-			default:
-				trial.Status = Completed
-				trial.Value = v
-				search.Tell(trial.Config, sign*v)
-			}
-			sched.OnDone(trial.ID)
-		}()
-	}
-	wg.Wait()
+		ctx := &Context{trial: trial, sched: sched, sign: sign, mu: &mu}
+		v, err := objective(ctx, trial.Config)
+		mu.Lock()
+		defer mu.Unlock()
+		switch {
+		case err != nil:
+			trial.Status = Failed
+			trial.Err = err
+		case ctx.stopped:
+			trial.Status = Stopped
+			trial.Value = v
+			search.Tell(trial.Config, sign*v)
+		default:
+			trial.Status = Completed
+			trial.Value = v
+			search.Tell(trial.Config, sign*v)
+		}
+		sched.OnDone(trial.ID)
+	})
 
 	a := &Analysis{Name: cfg.Name, Metric: cfg.Metric, Mode: cfg.Mode, Trials: trials}
 	return a, nil

@@ -90,6 +90,40 @@ func TestConcurrencyLimit(t *testing.T) {
 	}
 }
 
+// askCounter hands out its ask count as the configuration and records the
+// most asks ever outstanding (asked, not yet told). Run calls it under its
+// mutex.
+type askCounter struct {
+	asks, tells, peak int
+}
+
+func (c *askCounter) Ask() []float64 {
+	c.asks++
+	c.peak = max(c.peak, c.asks-c.tells)
+	return []float64{float64(c.asks - 1)}
+}
+
+func (c *askCounter) Tell([]float64, float64) { c.tells++ }
+
+// TestTrialsKeepAskOrder: trials are numbered and listed in Ask order, and
+// with the limiter at 3 no more than 3 configurations are ever asked and
+// not yet told.
+func TestTrialsKeepAskOrder(t *testing.T) {
+	c := &askCounter{}
+	a, err := Run(RunConfig{NumSamples: 40, MaxConcurrent: 3}, c, sphereObjective)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tr := range a.Trials {
+		if tr.ID != i || tr.Config[0] != float64(i) {
+			t.Errorf("trial %d has ID %d and config %v, want ID %d and config [%d]", i, tr.ID, tr.Config, i, i)
+		}
+	}
+	if c.asks != 40 || c.tells != 40 || c.peak > 3 {
+		t.Errorf("%d asks, %d tells, %d outstanding at most; want 40, 40, <= 3", c.asks, c.tells, c.peak)
+	}
+}
+
 func TestFailedTrialsRecorded(t *testing.T) {
 	s := unitSpace(1)
 	obj := func(ctx *Context, x []float64) (float64, error) {

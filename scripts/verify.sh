@@ -4,7 +4,8 @@
 # is tidy, vets the tree, runs simlint (the custom static-analysis gate
 # machine-enforcing the determinism / RNG-discipline / zero-alloc /
 # kernel-synchronization standing invariants), race-checks the packages
-# with goroutine-parallel paths (surrogate worker pool, bo batch scoring,
+# with goroutine-parallel paths (the par.For fan-out that the pools below
+# share, surrogate worker pool, bo batch scoring,
 # plantnet repeated-run pool — including the simulated-network link,
 # fault-schedule, resilience-policy, and piecewise-arrival code it drives —
 # scenario suite runner, tune's concurrent trial executor, space
@@ -81,6 +82,7 @@ race_pkgs=(
     ./internal/resilience/... ./internal/plantnet/... ./internal/scenario/...
     ./internal/sim/... ./internal/workload/... ./internal/tune/...
     ./internal/space/... ./internal/core/... ./internal/provenance/...
+    ./internal/par/...
 )
 
 # Formatting gate: gofmt -l lists unformatted files and exits 0, so any
