@@ -475,39 +475,40 @@ func (s Scenario) NetworkOverheadSeconds() float64 {
 
 // Result is one executed scenario's aggregate, the row unit of the
 // cross-scenario comparison tables. Every field is finite (unreachable or
-// sample-free scenarios fail with an error instead), so Results round-trip
-// bit-exactly through the JSON checkpoint. Fields may only be ints, int64s,
-// float64s, strings derived from the spec, or structs of those (see
-// resultLayout).
+// sample-free scenarios fail with an error instead), so a Result
+// round-trips bit-exactly through the suite checkpoint: its numeric fields
+// are stored as tune.Reports in resultLayout order, and its strings are
+// restored from the spec. Fields may only be ints, int64s, float64s,
+// strings derived from the spec, or structs of those.
 type Result struct {
-	Index    int    `json:"index"`
-	Name     string `json:"name"`
-	Gateways int    `json:"gateways"`
-	Clients  int    `json:"clients"`
-	Phases   int    `json:"phases"`
+	Index    int
+	Name     string
+	Gateways int
+	Clients  int
+	Phases   int
 	// NetModel is the resolved network model the scenario ran under
 	// ("analytical", "simulated" or "packet"); like Name it is derived
 	// from the spec, not stored in checkpoints (the fingerprint pins the
 	// spec).
-	NetModel string `json:"net_model,omitempty"`
+	NetModel string
 
 	// EngineResp pools every post-warmup response-time sample across
 	// phases and repeats. Analytical mode: engine-side only, excluding the
 	// network path. Simulated mode: the full user-observed time — requests
 	// cross the simulated links inside the run.
-	EngineResp stats.Summary `json:"engine_resp"`
+	EngineResp stats.Summary
 	// NetOverheadSec is the closed-form expected per-request network time.
 	// In simulated mode it is reported for comparison only (the measured
 	// samples already include the network, queueing and all).
-	NetOverheadSec float64 `json:"net_overhead_sec"`
+	NetOverheadSec float64
 	// RespMean is the user-observed mean: engine + network overhead in
 	// analytical mode, the pooled sample mean in simulated mode.
-	RespMean float64 `json:"resp_mean"`
+	RespMean float64
 	// RespP95 is the duration-weighted mean of per-run engine p95s.
-	RespP95 float64 `json:"resp_p95"`
+	RespP95 float64
 	// Throughput is the duration-weighted completions/s.
-	Throughput float64 `json:"throughput"`
-	Completed  int     `json:"completed"`
+	Throughput float64
+	Completed  int
 
 	// Outcomes sums the request-outcome counters (fault and resilience
 	// policy) across phases and repeats; all zero when the scenario
@@ -518,8 +519,8 @@ type Result struct {
 	// response met the policy timeout (== Throughput with no policy);
 	// Availability is completed / (completed + failed), 1 when nothing
 	// failed — the availability-SLO fraction the resilience layer targets.
-	Goodput      float64 `json:"goodput"`
-	Availability float64 `json:"availability"`
+	Goodput      float64
+	Availability float64
 }
 
 // repeatParallelism bounds each phase's RunRepeated pool. Repeats run

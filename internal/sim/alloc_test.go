@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -48,6 +49,51 @@ func TestZeroAllocCancelReschedule(t *testing.T) {
 		b := e.Schedule(12, nopFn)
 		e.Reschedule(b, e.Now()+0.5)
 		a.Cancel()
+		// Lane entries: cancel one from the middle, move one away from
+		// now, and move b back into the lane through a past time.
+		l1 := e.Schedule(0, nopFn)
+		l2 := e.Schedule(0, nopFn)
+		e.Schedule(0, nopFn)
+		l2.Cancel()
+		e.Reschedule(l1, e.Now()+2)
+		e.Reschedule(b, e.Now()-1)
+		for e.Step() {
+		}
+		// Front-to-front re-key: put the clock on a bucket boundary, load
+		// that bucket into the front heap, then move an event within it.
+		e.Run(math.Ceil(e.Now()) + 1)
+		e.Schedule(0.001, nopFn)
+		e.Step()
+		f := e.Schedule(0.002, nopFn)
+		e.Reschedule(f, e.Now()+0.004)
+		if e.nodes[f.idx].loc != locFront {
+			t.Fatal("re-keyed event left the front heap")
+		}
+		for e.Step() {
+		}
+	})
+}
+
+func TestZeroAllocSameInstantChain(t *testing.T) {
+	// Zero-delay chains filed from callbacks, interleaved in the lane with
+	// each other and with older events at the same instant.
+	e := NewEngine()
+	n := 0
+	var chain func()
+	chain = func() {
+		if n++; n%4 != 0 {
+			e.Schedule(0, chain)
+		}
+	}
+	for i := 0; i < 16; i++ {
+		e.Schedule(0, chain)
+	}
+	e.Run(1e6)
+	requireZeroAllocs(t, "Schedule(0) chains", func() {
+		for i := 0; i < 4; i++ {
+			e.Schedule(0.5, chain)
+		}
+		e.Schedule(0, chain)
 		for e.Step() {
 		}
 	})

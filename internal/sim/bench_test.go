@@ -53,6 +53,29 @@ func BenchmarkDenseBucket(b *testing.B) {
 	}
 }
 
+// BenchmarkSameInstant is dominated by same-instant events: eight equal
+// jobs share a processor-sharing CPU, so they complete together, and each
+// completion (filed with Schedule(0) by the resource) chains a zero-delay
+// event that submits the job's successor. Every resource event also moves
+// the completion event within the front bucket. One op is one completion.
+func BenchmarkSameInstant(b *testing.B) {
+	e := NewEngine()
+	cpu := NewCPU(e, 4)
+	done := 0
+	var submit, complete func()
+	submit = func() { cpu.Add(0.01, 1, complete) }
+	complete = func() {
+		done++
+		e.Schedule(0, submit)
+	}
+	for i := 0; i < 8; i++ {
+		submit()
+	}
+	b.ResetTimer()
+	for done < b.N && e.Step() {
+	}
+}
+
 // BenchmarkLogNormalSample measures one service-time draw through the Dist
 // interface, as the Pl@ntNet engine makes it, at the process stage's
 // calibration.

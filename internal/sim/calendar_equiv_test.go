@@ -162,8 +162,11 @@ func TestCalendarMatchesReferenceHeap(t *testing.T) {
 
 // FuzzCalendar drives the ladder against refEngine from fuzz bytes, one
 // choice per byte. The seed corpus (testdata/fuzz/FuzzCalendar) holds a
-// dense single bucket of over a hundred co-resident events and a script
-// that crosses maxBucketable into the flat-heap degrade path.
+// dense single bucket of over a hundred co-resident events, a script that
+// crosses maxBucketable into the flat-heap degrade path, and a same-instant
+// script: events filed at now while older events at that instant are still
+// queued, with a lane entry cancelled from the middle and a ring entry
+// moved into the lane.
 func FuzzCalendar(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		runCalendarEquiv(t, "fuzz input", &byteScript{b: b}, min(len(b), 512))
@@ -206,8 +209,11 @@ func runCalendarEquiv(t *testing.T, script string, r opScript, nOps int) {
 		id := nextID
 		nextID++
 		childDelay := -1.0
-		if r.Intn(10) < 3 {
+		switch r.Intn(10) {
+		case 0, 1, 2:
 			childDelay = r.Float64()
+		case 3:
+			childDelay = 0 // filed at the parent's instant, behind its peers
 		}
 		fnN := newFireFn(&logNew, eNew.Now, schedNew, id, childDelay)
 		fnO := newFireFn(&logOld, func() float64 { return eOld.now }, schedOld, id, childDelay)
@@ -239,8 +245,15 @@ func runCalendarEquiv(t *testing.T, script string, r opScript, nOps int) {
 		switch k := r.Intn(100); {
 		case k < 45:
 			schedulePair(randDelay(), false)
-		case k < 54:
+		case k < 51:
 			schedulePair(eNew.Now()+r.Float64()*5-2, true) // absolute, possibly past
+		case k < 54:
+			// The exact time of an earlier event, possibly still queued:
+			// once the clock reaches it, the older event must fire before
+			// everything filed at that instant afterwards.
+			if len(handles) > 0 {
+				schedulePair(handles[r.Intn(len(handles))].oev.time, true)
+			}
 		case k < 55:
 			// Beyond maxBucketable buckets: once it is the calendar's
 			// earliest event, the ladder degrades to one flat heap. The
@@ -293,9 +306,10 @@ func runCalendarEquiv(t *testing.T, script string, r opScript, nOps int) {
 	checkCalendarTiers(t, script, eNew)
 }
 
-// checkCalendarTiers checks the ladder's structure: front and over are
+// checkCalendarTiers checks the calendar's structure: front and over are
 // binary min-heaps, every entry lies in its tier's time range (a ring entry
-// in its bucket's slot), every node's loc/slot/pos back-pointer names the
+// in its bucket's slot, a lane entry at now with seqs rising, every other
+// entry at or after now), every node's loc/slot/pos back-pointer names the
 // place that holds it, and the tiers hold exactly the live events.
 func checkCalendarTiers(t *testing.T, script string, e *Engine) {
 	t.Helper()
@@ -305,7 +319,7 @@ func checkCalendarTiers(t *testing.T, script string, e *Engine) {
 			if i > 0 && entryLess(ent, h[(i-1)/2]) {
 				t.Fatalf("%s: %s[%d] %+v precedes its parent %+v", script, name, i, ent, h[(i-1)/2])
 			}
-			if !inRange(ent.time) {
+			if !inRange(ent.time) || ent.time < e.now {
 				t.Fatalf("%s: %s[%d] at t=%v is outside the tier", script, name, i, ent.time)
 			}
 			if nd := e.nodes[ent.idx]; nd.loc != l || int(nd.pos) != i {
@@ -318,7 +332,7 @@ func checkCalendarTiers(t *testing.T, script string, e *Engine) {
 	ringN := 0
 	for s, sl := range e.ring {
 		for i, ent := range sl {
-			if ent.time < e.frontEnd || ent.time >= e.ringEnd || int(int64(ent.time*invBucketW)&ringMask) != s {
+			if ent.time < e.frontEnd || ent.time >= e.ringEnd || ent.time < e.now || int(int64(ent.time*invBucketW)&ringMask) != s {
 				t.Fatalf("%s: ring[%d][%d] at t=%v is outside its bucket", script, s, i, ent.time)
 			}
 			if nd := e.nodes[ent.idx]; nd.loc != locRing || int(nd.slot) != s || int(nd.pos) != i {
@@ -330,7 +344,23 @@ func checkCalendarTiers(t *testing.T, script string, e *Engine) {
 	if ringN != e.ringN {
 		t.Fatalf("%s: ring holds %d entries, count says %d", script, ringN, e.ringN)
 	}
-	if n := len(e.front) + ringN + len(e.over); n != e.live {
+	if e.laneHead > len(e.lane) || (e.laneHead > 0 && e.laneHead == len(e.lane)) {
+		t.Fatalf("%s: lane head %d of %d entries", script, e.laneHead, len(e.lane))
+	}
+	for i := e.laneHead; i < len(e.lane); i++ {
+		ent := e.lane[i]
+		if ent.time != e.now {
+			t.Fatalf("%s: lane[%d] at t=%v, now is %v", script, i, ent.time, e.now)
+		}
+		if i > e.laneHead && ent.seq <= e.lane[i-1].seq {
+			t.Fatalf("%s: lane[%d] seq %d follows seq %d", script, i, ent.seq, e.lane[i-1].seq)
+		}
+		if nd := e.nodes[ent.idx]; nd.loc != locNow || int(nd.pos) != i {
+			t.Fatalf("%s: lane[%d] node says loc %d pos %d", script, i, nd.loc, nd.pos)
+		}
+	}
+	laneN := len(e.lane) - e.laneHead
+	if n := len(e.front) + ringN + len(e.over) + laneN; n != e.live {
 		t.Fatalf("%s: tiers hold %d entries, %d events are live", script, n, e.live)
 	}
 }

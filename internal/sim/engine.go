@@ -9,18 +9,30 @@
 //
 // # Calendar structure
 //
-// The event calendar is a two-tier ladder instead of one big binary heap:
+// The event calendar is a lane for the current instant above a two-tier
+// ladder, instead of one big binary heap:
 //
+//   - lane: a FIFO of the events filed at exactly the current time — the
+//     Schedule(0) that SharedResource completions and pool grants make, and
+//     past times clamped to now. They are already in (time, seq) order, so
+//     filing and popping one is O(1) with no heap work. An event at now in
+//     the front heap was filed before the clock got there, so it is older
+//     than every lane event and fires first. The lane is empty whenever the
+//     clock moves.
 //   - front: a small flat min-heap ordered by (time, seq) holding only the
-//     events of the bucket the clock is currently in. All pops come from
-//     here, so the per-event heap work is O(log bucketSize), not
-//     O(log totalEvents).
+//     events of the bucket the clock is currently in. Every pop that is
+//     not a lane pop comes from here, so the per-event heap work is
+//     O(log bucketSize), not O(log totalEvents).
 //   - ring: ringSlots unsorted buckets of bucketW seconds each, covering the
 //     near future (curB, curB+ringSlots). Insertion is an O(1) append; a
 //     bucket is heapified into front only when the clock reaches it.
 //   - over: an overflow min-heap for events beyond the ring horizon. Events
 //     migrate ring-ward (at most once each) when the horizon advances past
 //     them.
+//
+// Reschedule re-keys an event that stays in the front bucket where it sits,
+// with one sift up or down; every other move detaches the entry and files it
+// afresh.
 //
 // Event nodes live in an arena recycled through a generation-counted
 // freelist, and Event handles are plain values (arena index + generation),
@@ -58,6 +70,7 @@ const (
 	locFront
 	locRing
 	locOver
+	locNow // the current-instant lane
 )
 
 // entry is a calendar slot: the sort key plus the arena index of its node.
@@ -102,6 +115,9 @@ type Engine struct {
 	ring  [ringSlots][]entry // unsorted near-future buckets
 	ringN int
 	over  []entry // min-heap by (time, seq), t >= ringEnd at insert time
+
+	lane     []entry // FIFO of entries at time now, live from laneHead
+	laneHead int
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -176,11 +192,13 @@ func (e *Engine) At(t float64, fn func()) Event {
 
 // Reschedule moves a still-pending event to absolute time t (clamped to
 // now), with the same (time, seq) tie semantics as cancelling it and
-// scheduling afresh — but in place, reusing the event's node. It returns
-// false when ev has already fired or been cancelled; the caller should then
-// Schedule a new event. High-frequency reschedulers (SharedResource
-// recomputes its next completion on every job arrival) use this to keep the
-// calendar free of dead entries.
+// scheduling afresh — but in place, reusing the event's node, and, when the
+// event stays in the front bucket, re-keying its heap entry where it sits
+// with one sift instead of a removal and a push. It returns false when ev
+// has already fired or been cancelled; the caller should then Schedule a
+// new event. High-frequency reschedulers (SharedResource recomputes its
+// next completion on every job arrival) use this to keep the calendar free
+// of dead entries.
 //
 //simlint:noalloc steady-state calendar path
 func (e *Engine) Reschedule(ev Event, t float64) bool {
@@ -194,9 +212,15 @@ func (e *Engine) Reschedule(ev Event, t float64) bool {
 	if t < e.now || math.IsNaN(t) {
 		t = e.now
 	}
-	e.removeEntry(ev.idx)
 	e.seq++
-	e.insert(entry{time: t, seq: e.seq, idx: ev.idx})
+	ent := entry{time: t, seq: e.seq, idx: ev.idx}
+	if nd.loc == locFront && t != e.now && t < e.frontEnd {
+		e.front[nd.pos] = ent
+		e.heapFix(e.front, int(nd.pos), locFront)
+		return true
+	}
+	e.removeEntry(ev.idx)
+	e.insert(ent)
 	return true
 }
 
@@ -204,17 +228,13 @@ func (e *Engine) Reschedule(ev Event, t float64) bool {
 //
 //simlint:noalloc steady-state calendar path
 func (e *Engine) Step() bool {
-	if len(e.front) == 0 && !e.advance() {
-		return false
-	}
-	ent := e.heapPopMin(&e.front, locFront)
-	fn := e.nodes[ent.idx].fn
-	e.release(ent.idx)
-	e.live--
-	e.now = ent.time
-	fn()
-	return true
+	return e.fireNext(stepHorizon)
 }
+
+// stepHorizon is Step's until: every event is due, +Inf ones included. A
+// variable rather than a math.Inf call keeps Step within the compiler's
+// inlining budget.
+var stepHorizon = math.Inf(1)
 
 // Run fires every event at or before until, then moves the clock up to
 // until; events scheduled beyond until remain queued. The clock never moves
@@ -222,28 +242,47 @@ func (e *Engine) Step() bool {
 //
 //simlint:noalloc steady-state calendar path
 func (e *Engine) Run(until float64) {
-	for {
-		if len(e.front) == 0 {
-			if e.ringN == 0 && (len(e.over) == 0 || e.over[0].time > until) {
-				// Nothing within the horizon; don't rebase the calendar for
-				// events we are not going to fire.
-				break
-			}
-			e.advance()
-		}
-		if e.front[0].time > until {
-			break
-		}
-		ent := e.heapPopMin(&e.front, locFront)
-		fn := e.nodes[ent.idx].fn
-		e.release(ent.idx)
-		e.live--
-		e.now = ent.time
-		fn()
+	for e.fireNext(until) {
 	}
 	if e.now < until {
 		e.now = until
 	}
+}
+
+// fireNext fires the next event in (time, seq) order if it is due at or
+// before until, and reports whether it fired one. Every lane entry is at now
+// and every other entry at or after it, so the lane head is next unless an
+// older event at now heads the front heap; with the lane empty the front
+// heap holds the next event, once advance has loaded it.
+//
+//simlint:noalloc
+func (e *Engine) fireNext(until float64) bool {
+	var ent entry
+	if e.laneHead < len(e.lane) && (len(e.front) == 0 || entryLess(e.lane[e.laneHead], e.front[0])) {
+		if e.now > until {
+			return false
+		}
+		ent = e.lanePop()
+	} else {
+		if len(e.front) == 0 {
+			if e.ringN == 0 && (len(e.over) == 0 || e.over[0].time > until) {
+				// Nothing within the horizon; don't rebase the calendar for
+				// events we are not going to fire.
+				return false
+			}
+			e.advance()
+		}
+		if e.front[0].time > until {
+			return false
+		}
+		ent = e.heapPopMin(&e.front, locFront)
+	}
+	fn := e.nodes[ent.idx].fn
+	e.release(ent.idx)
+	e.live--
+	e.now = ent.time
+	fn()
+	return true
 }
 
 // Pending returns the number of scheduled (non-cancelled) events. It is
@@ -274,6 +313,8 @@ func (e *Engine) Reset() {
 	}
 	e.ringN = 0
 	e.over = e.over[:0]
+	e.lane = e.lane[:0]
+	e.laneHead = 0
 }
 
 // --- arena -----------------------------------------------------------------
@@ -308,6 +349,10 @@ func (e *Engine) release(idx int32) {
 //simlint:noalloc
 func (e *Engine) insert(ent entry) {
 	switch {
+	case ent.time == e.now:
+		nd := &e.nodes[ent.idx]
+		nd.loc, nd.pos = locNow, int32(len(e.lane))
+		e.lane = append(e.lane, ent)
 	case ent.time < e.frontEnd:
 		e.heapPush(&e.front, locFront, ent)
 	case ent.time < e.ringEnd:
@@ -324,6 +369,18 @@ func (e *Engine) ringPut(ent entry) {
 	nd.loc, nd.slot, nd.pos = locRing, uint16(s), int32(len(e.ring[s]))
 	e.ring[s] = append(e.ring[s], ent)
 	e.ringN++
+}
+
+// lanePop detaches the lane head.
+//
+//simlint:noalloc
+func (e *Engine) lanePop() entry {
+	ent := e.lane[e.laneHead]
+	e.laneHead++
+	if e.laneHead == len(e.lane) {
+		e.lane, e.laneHead = e.lane[:0], 0
+	}
+	return ent
 }
 
 // removeEntry detaches a live entry from whatever tier holds it.
@@ -347,12 +404,23 @@ func (e *Engine) removeEntry(idx int32) {
 		}
 		e.ring[s] = sl[:last]
 		e.ringN--
+	case locNow:
+		// Shift the tail down to keep FIFO order; the lane leaves no
+		// tombstones.
+		p := int(nd.pos)
+		e.lane = append(e.lane[:p], e.lane[p+1:]...)
+		for i := p; i < len(e.lane); i++ {
+			e.nodes[e.lane[i].idx].pos = int32(i)
+		}
+		if e.laneHead == len(e.lane) {
+			e.lane, e.laneHead = e.lane[:0], 0
+		}
 	}
 }
 
 // advance moves the calendar to the next nonempty bucket, loading it into
 // the front heap. It returns false when no events remain anywhere. The front
-// heap must be empty on entry.
+// heap and the lane must be empty on entry.
 //
 //simlint:noalloc
 func (e *Engine) advance() bool {
@@ -492,12 +560,19 @@ func (e *Engine) heapRemove(h *[]entry, l loc, i int) {
 	last := len(s) - 1
 	s[i] = s[last]
 	*h = s[:last]
-	s = s[:last]
 	if i < last {
-		if i > 0 && entryLess(s[i], s[(i-1)/2]) {
-			e.siftUp(s, i, l)
-		} else {
-			e.siftDown(s, i, l)
-		}
+		e.heapFix(s[:last], i, l)
+	}
+}
+
+// heapFix restores heap order after h[i]'s key changed: one sift, up or
+// down.
+//
+//simlint:noalloc
+func (e *Engine) heapFix(h []entry, i int, l loc) {
+	if i > 0 && entryLess(h[i], h[(i-1)/2]) {
+		e.siftUp(h, i, l)
+	} else {
+		e.siftDown(h, i, l)
 	}
 }
